@@ -4,11 +4,13 @@
 //! through the same gauntlet, so adding a scheduler to the registry
 //! automatically subjects it to the full certification matrix:
 //!
-//! 1. **Engine equivalence** — the legacy per-task engine
-//!    ([`moldable_sim::simulate`]) and the data-oriented batched engine
-//!    ([`moldable_sim::simulate_batched`]) must produce *bit-identical*
+//! 1. **Engine equivalence** — the batched core
+//!    ([`moldable_sim::simulate`]) and the per-task loop
+//!    ([`moldable_sim::simulate_instance`] on a
+//!    [`moldable_sim::GraphInstance`]) must produce *bit-identical*
 //!    schedules for each algorithm over generator shapes × seeds ×
-//!    speedup classes.
+//!    speedup classes — and, in the property harness, for every
+//!    baseline scheduler too.
 //! 2. **Envelope compliance** — on each Theorem 5–8 witness and on the
 //!    Figure 3 chain forests, the measured competitive ratio must stay
 //!    at or below the algorithm's proven upper bound
@@ -31,13 +33,16 @@
 
 use moldable_adversary::{amdahl, arbitrary, communication, general, roofline, LowerBoundInstance};
 use moldable_core::registry::ALGOS;
-use moldable_core::{AlgoName, OnlineScheduler};
+use moldable_core::{
+    baselines, AdaptiveScheduler, AlgoName, EasyBackfillScheduler, OnlineScheduler,
+};
 use moldable_graph::{gen, TaskGraph};
 use moldable_model::rng::{Rng, StdRng};
 use moldable_model::sample::ParamDistribution;
 use moldable_model::ModelClass;
-use moldable_offline::{optimal_makespan, BruteForceLimits};
-use moldable_sim::{simulate, simulate_batched, Schedule, SimOptions};
+use moldable_offline::cpa::FixedAllocScheduler;
+use moldable_offline::{cpa_allocations, optimal_makespan, BruteForceLimits};
+use moldable_sim::{simulate, simulate_instance, GraphInstance, Schedule, Scheduler, SimOptions};
 
 /// The bounded classes every envelope is proven for. `Arbitrary` is
 /// excluded on purpose: Theorem 9 shows no constant ratio exists.
@@ -48,9 +53,9 @@ const BOUNDED: [ModelClass; 4] = [
     ModelClass::General,
 ];
 
-/// Run `algo` on `g` through both engines with its envelope-optimal μ
-/// for `class`, demand bit-identical schedules, validate, and return
-/// the (shared) schedule.
+/// Run `algo` on `g` through the batched core and the per-task loop
+/// with its envelope-optimal μ for `class`, demand bit-identical
+/// schedules, validate, and return the (shared) schedule.
 fn run_both_engines(
     g: &TaskGraph,
     p_total: u32,
@@ -59,25 +64,24 @@ fn run_both_engines(
     ctx: &str,
 ) -> Schedule {
     let opts = SimOptions::new(p_total);
-    let mut legacy = OnlineScheduler::for_algo_class(algo, class);
-    let a = simulate(g, &mut legacy, &opts)
-        .unwrap_or_else(|e| panic!("{ctx} [{algo}]: legacy engine failed: {e}"));
+    let mut fast = OnlineScheduler::for_algo_class(algo, class);
+    let a = simulate(g, &mut fast, &opts)
+        .unwrap_or_else(|e| panic!("{ctx} [{algo}]: batched core failed: {e}"));
     a.validate(g)
-        .unwrap_or_else(|e| panic!("{ctx} [{algo}]: legacy schedule invalid: {e}"));
-
-    let mut batched = OnlineScheduler::for_algo_class(algo, class);
-    let b = simulate_batched(g, &mut batched, &opts)
-        .unwrap_or_else(|e| panic!("{ctx} [{algo}]: batched engine failed: {e}"));
-    b.validate(g)
         .unwrap_or_else(|e| panic!("{ctx} [{algo}]: batched schedule invalid: {e}"));
 
+    let mut slow = OnlineScheduler::for_algo_class(algo, class);
+    let b = simulate_instance(&mut GraphInstance::new(g), &mut slow, &opts)
+        .unwrap_or_else(|e| panic!("{ctx} [{algo}]: per-task loop failed: {e}"));
+
     assert_eq!(
-        a.makespan, b.makespan,
-        "{ctx} [{algo}]: legacy and batched makespans differ"
+        a.makespan.to_bits(),
+        b.makespan.to_bits(),
+        "{ctx} [{algo}]: batched and per-task makespans differ"
     );
     assert_eq!(
         a.placements, b.placements,
-        "{ctx} [{algo}]: legacy and batched placements differ"
+        "{ctx} [{algo}]: batched and per-task placements differ"
     );
     a
 }
@@ -85,8 +89,8 @@ fn run_both_engines(
 #[test]
 fn every_algorithm_is_engine_equivalent_on_generator_shapes() {
     // Every generator family × two seeds × every bounded class ×
-    // every registered algorithm: the batched hot path must remain a
-    // pure optimization, never a behavioural fork, no matter which
+    // every registered algorithm: the batched core must remain a pure
+    // optimization, never a behavioural fork, no matter which
     // allocation rule drives it.
     let cases: &[(&str, u32)] = &[
         ("layered", 10),
@@ -352,34 +356,84 @@ fn shrink(mut case: Case, fails: &dyn Fn(&Case) -> Option<String>) -> (Case, Str
     }
 }
 
+/// A factory of identically configured schedulers.
+type MakeScheduler = Box<dyn Fn() -> Box<dyn Scheduler>>;
+
+/// Every scheduler the matrix certifies on `g`: each registered
+/// algorithm and every baseline that runs on a static graph.
+fn schedulers(g: &TaskGraph, case: &Case) -> Vec<(String, MakeScheduler)> {
+    let class = case.class;
+    let mu = class.optimal_mu();
+    let cpa = cpa_allocations(g, case.p);
+    let mut out: Vec<(String, MakeScheduler)> = ALGOS
+        .iter()
+        .map(|&algo| {
+            let mk: MakeScheduler =
+                Box::new(move || Box::new(OnlineScheduler::for_algo_class(algo, class)));
+            (algo.to_string(), mk)
+        })
+        .collect();
+    out.push((
+        "one-proc".into(),
+        Box::new(|| Box::new(baselines::one_proc())),
+    ));
+    out.push((
+        "max-proc".into(),
+        Box::new(|| Box::new(baselines::max_proc())),
+    ));
+    out.push((
+        "ect".into(),
+        Box::new(|| Box::new(baselines::EctScheduler::new())),
+    ));
+    out.push((
+        "equal-share".into(),
+        Box::new(|| Box::new(baselines::EqualShareScheduler::new())),
+    ));
+    out.push((
+        "backfill".into(),
+        Box::new(move || Box::new(EasyBackfillScheduler::new(mu))),
+    ));
+    out.push((
+        "adaptive".into(),
+        Box::new(|| Box::new(AdaptiveScheduler::new())),
+    ));
+    out.push((
+        "cpa".into(),
+        Box::new(move || Box::new(FixedAllocScheduler::new(cpa.clone()))),
+    ));
+    out
+}
+
 /// The conformance predicate: `None` if the case passes for every
-/// registered algorithm, `Some(reason)` otherwise.
+/// scheduler, `Some(reason)` otherwise.
 fn conformance_failure(case: &Case) -> Option<String> {
     let g = case.build();
-    let opts = SimOptions::new(case.p);
     let lb = g.bounds(case.p).lower_bound();
-    for algo in ALGOS {
-        let mut legacy = OnlineScheduler::for_algo_class(algo, case.class);
-        let a = match simulate(&g, &mut legacy, &opts) {
-            Ok(s) => s,
-            Err(e) => return Some(format!("[{algo}] legacy engine failed: {e}")),
-        };
-        if let Err(e) = a.validate(&g) {
-            return Some(format!("[{algo}] invalid schedule: {e}"));
-        }
-        let mut batched = OnlineScheduler::for_algo_class(algo, case.class);
-        let b = match simulate_batched(&g, &mut batched, &opts) {
-            Ok(s) => s,
-            Err(e) => return Some(format!("[{algo}] batched engine failed: {e}")),
-        };
-        if a.makespan != b.makespan || a.placements != b.placements {
-            return Some(format!("[{algo}] legacy and batched schedules diverge"));
-        }
-        if a.makespan < lb - 1e-9 {
-            return Some(format!(
-                "[{algo}] makespan {} beats the Lemma 2 bound {lb}",
-                a.makespan
-            ));
+    for (name, mk) in schedulers(&g, case) {
+        for opts in [
+            SimOptions::new(case.p),
+            SimOptions::new(case.p).with_proc_ids(),
+        ] {
+            let a = match simulate(&g, &mut *mk(), &opts) {
+                Ok(s) => s,
+                Err(e) => return Some(format!("[{name}] batched core failed: {e}")),
+            };
+            if let Err(e) = a.validate(&g) {
+                return Some(format!("[{name}] invalid schedule: {e}"));
+            }
+            let b = match simulate_instance(&mut GraphInstance::new(&g), &mut *mk(), &opts) {
+                Ok(s) => s,
+                Err(e) => return Some(format!("[{name}] per-task loop failed: {e}")),
+            };
+            if a.makespan.to_bits() != b.makespan.to_bits() || a.placements != b.placements {
+                return Some(format!("[{name}] batched and per-task schedules diverge"));
+            }
+            if a.makespan < lb - 1e-9 {
+                return Some(format!(
+                    "[{name}] makespan {} beats the Lemma 2 bound {lb}",
+                    a.makespan
+                ));
+            }
         }
     }
     None

@@ -10,19 +10,22 @@
 //! * `layered_1m_{legacy,batched}` — a 1 000 × 1 000 layered random
 //!   DAG (10^6 mixed general-model tasks, geometric-skip construction)
 //!   under the online scheduler on P = 256, simulated once by the
-//!   general per-task engine and once by the data-oriented batched
-//!   engine — identical makespans, so the ratio is pure engine
-//!   overhead (CI gates batched ≥ 2.5× legacy);
+//!   per-task loop (`simulate_instance` on a `GraphInstance`) and once
+//!   by the batched core (`simulate`) — identical makespans, so the
+//!   ratio is loop overhead plus the memo: the per-task hook interns
+//!   every one of the 10^6 distinct models, the batched core's memo
+//!   stops interning while it does not pay (CI gates batched ≥ 2.5×
+//!   legacy);
 //! * `thm6_communication_p1601_{legacy,batched}` — the Theorem 6
 //!   adversarial instance at P = 1601 (~868 k near-identical tasks,
-//!   the allocation-memoization stress case), both engines;
+//!   the allocation-memoization stress case), both loops;
 //! * `thm9_adaptive_l4` — the Theorem 9 adaptive chain adversary at
 //!   ℓ = 4 (P = 524 288, instance revealed task by task; adaptive
-//!   instances are inherently per-task, so legacy engine only);
-//! * `wide_50k_{indexed,reference}_queue`, `wide_50k_batched` —
-//!   50 000 independent tasks on P = 64, a deep-ready-queue stress run
-//!   under the default indexed queue, the reference sorted-`Vec` scan,
-//!   and the batched engine (identical makespans, different clocks);
+//!   instances are inherently per-task, so per-task loop only);
+//! * `wide_50k_{indexed,reference}_queue` — 50 000 independent tasks
+//!   on P = 64, a deep-ready-queue stress run under the default indexed
+//!   queue and the reference sorted-`Vec` scan (identical makespans,
+//!   different clocks);
 //! * `serve_{direct,service,tcp}_500` — the same 500 scheduling
 //!   requests (cholesky size 6, P = 64, 16 seeds) executed three ways:
 //!   bare generate+simulate, through the service layer
@@ -46,7 +49,7 @@ use moldable_graph::gen;
 use moldable_model::rng::StdRng;
 use moldable_model::sample::ParamDistribution;
 use moldable_model::ModelClass;
-use moldable_sim::{simulate, simulate_batched, simulate_instance, SimOptions};
+use moldable_sim::{simulate, simulate_instance, GraphInstance, SimOptions};
 
 struct Measurement {
     name: &'static str,
@@ -69,9 +72,10 @@ impl Measurement {
     }
 }
 
-/// One graph, both engines: the legacy row carries the (one-time)
-/// build cost, the batched row reuses the graph so its `build_secs`
-/// is 0 by construction — the CI gate compares `sim_secs` only.
+/// One graph, both loops: the legacy row (the per-task loop) carries
+/// the (one-time) build cost, the batched row (the core behind
+/// `simulate`) reuses the graph so its `build_secs` is 0 by
+/// construction — the CI gate compares `sim_secs` only.
 fn engine_pair(
     legacy_name: &'static str,
     batched_name: &'static str,
@@ -82,13 +86,18 @@ fn engine_pair(
 ) -> [Measurement; 2] {
     let mut sched = mk_sched();
     let t0 = Instant::now();
-    let legacy = simulate(g, &mut sched, &SimOptions::new(p_total)).expect("simulates");
+    let legacy = simulate_instance(
+        &mut GraphInstance::new(g),
+        &mut sched,
+        &SimOptions::new(p_total),
+    )
+    .expect("simulates");
     let legacy_secs = t0.elapsed().as_secs_f64();
     assert_eq!(legacy.placements.len(), g.n_tasks());
 
     let mut sched = mk_sched();
     let t1 = Instant::now();
-    let batched = simulate_batched(g, &mut sched, &SimOptions::new(p_total)).expect("simulates");
+    let batched = simulate(g, &mut sched, &SimOptions::new(p_total)).expect("simulates");
     let batched_secs = t1.elapsed().as_secs_f64();
     assert_eq!(
         legacy.makespan, batched.makespan,
@@ -194,31 +203,6 @@ fn wide_50k(reference: bool) -> Measurement {
         } else {
             "wide_50k_indexed_queue"
         },
-        n_tasks: g.n_tasks(),
-        build_secs,
-        sim_secs,
-        makespan: s.makespan,
-    }
-}
-
-/// The same 50 000-task instance under the batched engine (indexed
-/// queue): deep-queue behaviour of the data-oriented hot path.
-fn wide_50k_batched() -> Measurement {
-    let p_total = 64;
-    let t0 = Instant::now();
-    let dist = ParamDistribution::default();
-    let mut mrng = StdRng::seed_from_u64(0x91DE);
-    let mut assign = gen::weighted_sampler(ModelClass::General, dist, p_total, &mut mrng);
-    let g = gen::independent(50_000, &mut assign);
-    let build_secs = t0.elapsed().as_secs_f64();
-
-    let mut sched = OnlineScheduler::for_class(ModelClass::General);
-    let t1 = Instant::now();
-    let s = simulate_batched(&g, &mut sched, &SimOptions::new(p_total)).expect("simulates");
-    let sim_secs = t1.elapsed().as_secs_f64();
-    assert_eq!(s.placements.len(), g.n_tasks());
-    Measurement {
-        name: "wide_50k_batched",
         n_tasks: g.n_tasks(),
         build_secs,
         sim_secs,
@@ -559,7 +543,6 @@ fn main() {
     runs.push(thm9_adaptive());
     runs.push(wide_50k(false));
     runs.push(wide_50k(true));
-    runs.push(wide_50k_batched());
     runs.push(graph_build(false));
     runs.push(graph_build(true));
     runs.push(serve_direct());
@@ -573,17 +556,12 @@ fn main() {
             .find(|m| m.name == name)
             .unwrap_or_else(|| panic!("no run named {name}"))
     };
-    // Same instance, same decisions: only the queue implementation /
-    // engine (and therefore the wall clock) may differ between these.
+    // Same instance, same decisions: only the queue implementation
+    // (and therefore the wall clock) may differ between these.
     assert_eq!(
         by_name("wide_50k_indexed_queue").makespan,
         by_name("wide_50k_reference_queue").makespan,
         "queues must agree"
-    );
-    assert_eq!(
-        by_name("wide_50k_indexed_queue").makespan,
-        by_name("wide_50k_batched").makespan,
-        "engines must agree"
     );
     // The serve paths execute identical request streams: the wire and
     // service layers — and the frozen-graph cache — must not change a

@@ -10,11 +10,23 @@
 //!
 //! Keys are exact: closed-form models key on the *bit patterns* of
 //! their parameters (two models collide only if they are
-//! parameter-identical, in which case [`allocate`] returns the same
-//! decision); tables key on their full entry bit-pattern; closures key
+//! parameter-identical, in which case [`crate::allocate`] returns the
+//! same decision); tables key on their full entry bit-pattern; closures key
 //! on the `Arc` pointer identity, with a clone of the `Arc` pinned in
 //! the cache so an address can never be recycled for a different
 //! closure while the cache lives.
+//!
+//! [`AllocCache::allocate`] is bounded: when per-task sampled
+//! parameters make every model distinct, interning is pure overhead
+//! and the map would grow with every task for the cache's lifetime (a
+//! serve worker's or a tenant scheduler's cache lives as long as the
+//! daemon). The cache runs in *trials*: after [`BYPASS_MIN_PROBES`]
+//! lookups with fewer than 1 in 16 answered from the map, it stops
+//! interning and answers the next [`RETRIAL_AFTER`] calls directly —
+//! the same answers, since the allocation is a pure function of
+//! `(model, P, μ)` — then empties the map and starts a fresh trial, so
+//! traffic that turns repetitive after a cold burst gets its memo
+//! back. Every switch is a pure function of the call sequence.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -23,6 +35,19 @@ use moldable_model::SpeedupModel;
 
 use crate::registry::AlgoName;
 use crate::Allocation;
+
+/// Lookups an [`AllocCache`] answers before it may conclude that it is
+/// useless and stop interning. Large enough that every adversarial
+/// witness in the test corpus (thousands of tasks over a handful of
+/// models) warms the cache normally, small enough that a million-task
+/// sampled workload stops paying interning after the first few
+/// thousand releases — and the bound on a cache that never pays.
+pub const BYPASS_MIN_PROBES: u64 = 4096;
+
+/// Direct calls a bypassed [`AllocCache`] answers before it starts a
+/// fresh trial. Sixteen trial lengths: a cache that never pays spends
+/// at most 1 call in 17 interning.
+pub const RETRIAL_AFTER: u64 = 16 * BYPASS_MIN_PROBES;
 
 /// Exact identity of a speedup model for interning purposes.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -65,9 +90,9 @@ impl ModelKey {
     }
 }
 
-/// Memoized front-end to the local allocation ([`allocate`] or
-/// [`allocate_improved`], per [`AlgoName`]) for a fixed platform size
-/// and μ.
+/// Memoized front-end to the local allocation ([`crate::allocate`] or
+/// [`crate::allocate_improved`], per [`AlgoName`]) for a fixed
+/// platform size and μ.
 #[derive(Debug)]
 pub struct AllocCache {
     algo: AlgoName,
@@ -81,6 +106,11 @@ pub struct AllocCache {
     probes: u64,
     /// Lookups answered from the map.
     hits: u64,
+    /// `(probes, hits)` of [`AllocCache::allocate`] in the current
+    /// trial.
+    trial: (u64, u64),
+    /// Direct calls left before the next trial; 0 while interning.
+    bypass_left: u64,
 }
 
 impl AllocCache {
@@ -89,7 +119,7 @@ impl AllocCache {
     ///
     /// # Panics
     ///
-    /// Same contract as [`allocate`]: `μ ∈ (0, (3−√5)/2]`,
+    /// Same contract as [`crate::allocate`]: `μ ∈ (0, (3−√5)/2]`,
     /// `p_total ≥ 1`.
     #[must_use]
     pub fn new(p_total: u32, mu: f64) -> Self {
@@ -104,7 +134,7 @@ impl AllocCache {
     ///
     /// # Panics
     ///
-    /// Same contract as [`allocate`]: `μ ∈ (0, (3−√5)/2]`,
+    /// Same contract as [`crate::allocate`]: `μ ∈ (0, (3−√5)/2]`,
     /// `p_total ≥ 1`.
     #[must_use]
     pub fn for_algo(algo: AlgoName, p_total: u32, mu: f64) -> Self {
@@ -121,6 +151,8 @@ impl AllocCache {
             pinned: Vec::new(),
             probes: 0,
             hits: 0,
+            trial: (0, 0),
+            bypass_left: 0,
         }
     }
 
@@ -160,20 +192,50 @@ impl AllocCache {
     /// The local allocation through the cache: identical to
     /// `allocate(model, p_total, mu)` (or `allocate_improved` with the
     /// model class's λ, per the cache's algorithm), but repeat models
-    /// cost one hash lookup.
+    /// cost one hash lookup. While a trial has shown the cache not to
+    /// pay (see the module docs) calls compute directly and are not
+    /// counted as probes.
     pub fn allocate(&mut self, model: &SpeedupModel) -> Allocation {
+        if self.bypass_left > 0 {
+            self.bypass_left -= 1;
+            if self.bypass_left == 0 {
+                self.map.clear();
+                self.pinned.clear();
+                self.trial = (0, 0);
+            }
+            return self.algo.allocate(model, self.p_total, self.mu);
+        }
+        let (allocation, hit) = self.lookup(model);
+        self.trial.0 += 1;
+        self.trial.1 += u64::from(hit);
+        // Enough evidence, and fewer than 1 in 16 probes answered from
+        // the map.
+        if self.trial.0 >= BYPASS_MIN_PROBES && self.trial.1 * 16 < self.trial.0 {
+            self.bypass_left = RETRIAL_AFTER;
+        }
+        allocation
+    }
+
+    /// [`AllocCache::allocate`] that always interns, whatever the hit
+    /// rate: the memo the per-task scheduler hooks have always used.
+    pub fn intern(&mut self, model: &SpeedupModel) -> Allocation {
+        self.lookup(model).0
+    }
+
+    /// Map lookup, interning on a miss; `true` on a hit.
+    fn lookup(&mut self, model: &SpeedupModel) -> (Allocation, bool) {
         self.probes += 1;
         let key = ModelKey::of(model);
         if let Some(&hit) = self.map.get(&key) {
             self.hits += 1;
-            return hit;
+            return (hit, true);
         }
         if matches!(model, SpeedupModel::Formula { .. }) {
             self.pinned.push(model.clone());
         }
         let allocation = self.algo.allocate(model, self.p_total, self.mu);
         self.map.insert(key, allocation);
-        allocation
+        (allocation, false)
     }
 
     /// Number of distinct models interned so far.
@@ -182,7 +244,8 @@ impl AllocCache {
         self.map.len()
     }
 
-    /// Lifetime number of [`AllocCache::allocate`] calls.
+    /// Lifetime number of map lookups (calls answered directly while
+    /// bypassed are not lookups).
     #[must_use]
     pub fn probes(&self) -> u64 {
         self.probes
@@ -190,8 +253,8 @@ impl AllocCache {
 
     /// Lifetime number of probes answered from the map. A hit rate of
     /// `hits / probes` near zero means every task carries a distinct
-    /// model and the cache is pure overhead — the batched scheduler
-    /// uses exactly this signal to switch to direct Algorithm 2 calls.
+    /// model and the cache is pure overhead — the signal, per trial, on
+    /// which [`AllocCache::allocate`] stops interning.
     #[must_use]
     pub fn hits(&self) -> u64 {
         self.hits
@@ -299,6 +362,83 @@ mod tests {
         let c = AllocCache::new(16, 0.3);
         assert!(c.matches(16, 0.3));
         assert_eq!(c.algo(), AlgoName::Icpp22);
+    }
+
+    #[test]
+    fn distinct_models_stop_interning_at_the_bypass_bound() {
+        // Per-task sampled parameters: (almost) every model distinct.
+        let mut rng = moldable_model::rng::StdRng::seed_from_u64(5);
+        let dist = moldable_model::sample::ParamDistribution::default();
+        for algo in [AlgoName::Icpp22, AlgoName::Improved23] {
+            let mu = algo.optimal_mu(ModelClass::General);
+            let mut cache = AllocCache::for_algo(algo, 256, mu);
+            let bound = usize::try_from(BYPASS_MIN_PROBES).unwrap();
+            for i in 0..100_000 {
+                let m = dist.sample(ModelClass::General, 256, &mut rng);
+                assert_eq!(
+                    cache.allocate(&m),
+                    algo.allocate(&m, 256, mu),
+                    "{algo} #{i}"
+                );
+                assert!(
+                    cache.len() <= bound,
+                    "{algo} #{i}: {} interned",
+                    cache.len()
+                );
+            }
+            // Two trials fit in 100k calls: one at the start, one after
+            // the first bypassed stretch.
+            const { assert!(BYPASS_MIN_PROBES + RETRIAL_AFTER < 100_000) };
+            assert_eq!(cache.probes(), 2 * BYPASS_MIN_PROBES, "{algo}");
+        }
+    }
+
+    #[test]
+    fn a_cold_burst_does_not_switch_the_memo_off_for_good() {
+        // A fresh worker's first traffic is all distinct, the traffic
+        // after it repeats eight models: the first trial bypasses, the
+        // next one interns the eight and answers the rest from the map.
+        let mut rng = moldable_model::rng::StdRng::seed_from_u64(9);
+        let dist = moldable_model::sample::ParamDistribution::default();
+        let mut cache = AllocCache::new(256, 0.3);
+        for _ in 0..BYPASS_MIN_PROBES {
+            let _ = cache.allocate(&dist.sample(ModelClass::General, 256, &mut rng));
+        }
+        let models: Vec<_> = (1..=8)
+            .map(|w| SpeedupModel::amdahl(f64::from(w), 0.5).unwrap())
+            .collect();
+        let hits_before = cache.hits();
+        let calls = usize::try_from(RETRIAL_AFTER).unwrap() + 10_000;
+        for i in 0..calls {
+            let _ = cache.allocate(&models[i % 8]);
+        }
+        assert_eq!(cache.hits() - hits_before, 10_000 - 8);
+        assert_eq!(cache.len(), 8);
+    }
+
+    #[test]
+    fn intern_ignores_the_hit_rate() {
+        let mut cache = AllocCache::new(64, 0.3);
+        for w in 1..=5_000 {
+            let m = SpeedupModel::amdahl(f64::from(w), 0.5).unwrap();
+            assert_eq!(cache.intern(&m), allocate(&m, 64, 0.3));
+        }
+        assert_eq!(cache.len(), 5_000);
+    }
+
+    #[test]
+    fn a_paying_cache_keeps_interning() {
+        // Eight models repeated: the hit rate stays high, so the cache
+        // never bypasses and every lookup past the first eight hits.
+        let models: Vec<_> = (1..=8)
+            .map(|w| SpeedupModel::amdahl(f64::from(w), 0.5).unwrap())
+            .collect();
+        let mut cache = AllocCache::new(64, 0.3);
+        for i in 0..10_000 {
+            let _ = cache.allocate(&models[i % 8]);
+        }
+        assert_eq!(cache.len(), 8);
+        assert_eq!((cache.probes(), cache.hits()), (10_000, 9_992));
     }
 
     #[test]

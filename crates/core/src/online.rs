@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use moldable_graph::{TaskGraph, TaskId};
 use moldable_model::{ModelClass, SpeedupModel};
-use moldable_sim::{BatchScheduler, BatchStart, Scheduler};
+use moldable_sim::Scheduler;
 
 use crate::memo::AllocCache;
 use crate::ready_queue::{IndexedQueue, LinearQueue, ReadyItem, ReadyQueue};
@@ -50,12 +50,7 @@ pub struct OnlineScheduler {
     /// [`OnlineScheduler::record_decisions`] so the default hot path
     /// does no per-task bookkeeping.
     decisions: Option<HashMap<TaskId, Allocation>>,
-    /// Adaptive cache bypass for the batched release path: set once the
-    /// observed [`AllocCache`] hit rate proves the workload's models
-    /// are (almost) all distinct, after which Algorithm 2 runs directly
-    /// — same decisions ([`crate::allocate`] is pure), no interning overhead.
-    bypass_cache: bool,
-    /// Reused drain buffer for [`BatchScheduler::select_batch`].
+    /// Reused drain buffer for one decision point.
     scratch: Vec<ReadyItem>,
 }
 
@@ -71,13 +66,6 @@ impl QueueKind {
         match self {
             Self::Indexed(q) => q.push(item),
             Self::Linear(q) => q.push(item),
-        }
-    }
-
-    fn pop_first_fit(&mut self, free: u32) -> Option<ReadyItem> {
-        match self {
-            Self::Indexed(q) => q.pop_first_fit(free),
-            Self::Linear(q) => q.pop_first_fit(free),
         }
     }
 
@@ -137,7 +125,6 @@ impl OnlineScheduler {
             seq: 0,
             cache: None,
             decisions: None,
-            bypass_cache: false,
             scratch: Vec::new(),
         }
     }
@@ -221,64 +208,19 @@ impl OnlineScheduler {
         self.cache.take()
     }
 
-    /// Shared `init` of the per-task and batched driver traits.
-    fn init_impl(&mut self, p_total: u32) {
-        self.p_total = p_total;
-        self.bypass_cache = false;
-        let keep = self
-            .cache
-            .as_ref()
-            .is_some_and(|c| c.matches_algo(self.algo, p_total, self.mu));
-        if !keep {
-            self.cache = Some(AllocCache::for_algo(self.algo, p_total, self.mu));
-        }
-    }
-
-    /// Algorithm 2 for the batched release path: through the cache
-    /// until the observed hit rate proves the workload has (almost) no
-    /// repeat models, directly afterwards. [`crate::allocate`] is a pure
-    /// function of `(model, P, μ)`, so the switch can never change a
-    /// decision — it only stops paying a hash insert per distinct
-    /// model (on a million-task instance with per-task sampled work,
-    /// that insert is the single largest release cost).
-    fn allocate_batched(&mut self, model: &SpeedupModel) -> Allocation {
-        if self.bypass_cache {
-            return self.algo.allocate(model, self.p_total, self.mu);
-        }
-        match self.cache.as_mut() {
-            Some(cache) => {
-                let allocation = cache.allocate(model);
-                // Deterministic bypass rule: enough evidence, and
-                // fewer than 1 in 16 probes answered from the map.
-                if cache.probes() >= BYPASS_MIN_PROBES && cache.hits() * 16 < cache.probes() {
-                    self.bypass_cache = true;
-                }
-                allocation
-            }
-            None => self.algo.allocate(model, self.p_total, self.mu),
-        }
-    }
-}
-
-/// Probes an [`AllocCache`] must answer before the batched release
-/// path may conclude the cache is useless and bypass it. Large enough
-/// that every adversarial witness in the test corpus (thousands of
-/// tasks over a handful of models) warms the cache normally, small
-/// enough that a million-task sampled workload stops paying interning
-/// after the first few thousand releases.
-const BYPASS_MIN_PROBES: u64 = 4096;
-
-impl Scheduler for OnlineScheduler {
-    fn init(&mut self, p_total: u32) {
-        self.init_impl(p_total);
-    }
-
-    fn release(&mut self, task: TaskId, model: &SpeedupModel) {
+    /// Algorithm 2 through the bounded memo (which stops interning
+    /// while its hit rate shows the models are all distinct; see
+    /// [`AllocCache::allocate`]).
+    fn allocate(&mut self, model: &SpeedupModel) -> Allocation {
         debug_assert!(self.p_total >= 1, "init must run before release");
-        let allocation = match self.cache.as_mut() {
+        match self.cache.as_mut() {
             Some(cache) => cache.allocate(model),
             None => self.algo.allocate(model, self.p_total, self.mu),
-        };
+        }
+    }
+
+    /// Enqueue a released task under its Algorithm 2 decision.
+    fn enqueue(&mut self, task: TaskId, model: &SpeedupModel, allocation: Allocation) {
         if let Some(d) = self.decisions.as_mut() {
             d.insert(task, allocation);
         }
@@ -290,89 +232,17 @@ impl Scheduler for OnlineScheduler {
             alloc: allocation.capped,
             key,
             dur,
-            // The per-task driver tracks release times itself (the
-            // `release` hook has no clock); see `ReadyItem::released`.
-            released: 0.0,
         });
     }
 
-    fn select(&mut self, now: f64, free: u32) -> Vec<(TaskId, u32)> {
-        let mut started = Vec::new();
-        self.select_into(now, free, &mut started);
-        started
-    }
-
-    fn select_into(&mut self, _now: f64, free: u32, out: &mut Vec<(TaskId, u32)>) {
-        // List scheduling: start *every* waiting task that fits, in
-        // queue order (Algorithm 1, lines 7–11). Popping first fits
-        // until none remains is the same scan — free only shrinks, so
-        // a skipped task stays infeasible for this decision point.
-        let mut free = free;
-        while let Some(item) = self.queue.pop_first_fit(free) {
-            free -= item.alloc;
-            out.push((item.task, item.alloc));
-        }
-    }
-}
-
-/// The same Algorithm 1, driven by the data-oriented batched engine
-/// ([`moldable_sim::simulate_batched`]). Release order, queue keys,
-/// and start decisions are identical to the per-task [`Scheduler`]
-/// path — the differential suite in
-/// `moldable-sim/tests/batched_engine_equivalence.rs` pins this —
-/// but the batch form exposes two savings the per-task hooks cannot:
-///
-/// * **Weight-run grouping.** Tasks revealed by one event frequently
-///   share a speedup model (chain bundles, adversarial phases, any
-///   graph built from a few weight classes). Within a batch,
-///   consecutive tasks whose models are
-///   [`SpeedupModel::bitwise_eq`] reuse the previous Algorithm 2
-///   decision without touching the cache at all.
-/// * **Adaptive cache bypass.** When per-task sampled weights make
-///   every model distinct, the cache's hash-and-insert per release is
-///   pure overhead; the observed hit rate switches the path to direct
-///   [`crate::allocate`] calls (see `allocate_batched` below).
-impl BatchScheduler for OnlineScheduler {
-    fn init(&mut self, p_total: u32) {
-        self.init_impl(p_total);
-    }
-
-    fn release_batch(&mut self, graph: &TaskGraph, now: f64, tasks: &[TaskId]) {
-        debug_assert!(self.p_total >= 1, "init must run before release");
-        // Last distinct model seen in this batch and its decision.
-        let mut run: Option<(&SpeedupModel, Allocation)> = None;
-        for &task in tasks {
-            let model = graph.model(task);
-            let allocation = match run {
-                Some((prev, allocation)) if prev.bitwise_eq(model) => allocation,
-                _ => {
-                    let allocation = self.allocate_batched(model);
-                    run = Some((model, allocation));
-                    allocation
-                }
-            };
-            if let Some(d) = self.decisions.as_mut() {
-                d.insert(task, allocation);
-            }
-            let dur = model.time(allocation.capped);
-            let key = self.policy.key(dur, allocation.capped, self.seq);
-            self.seq += 1;
-            self.queue.push(ReadyItem {
-                task,
-                alloc: allocation.capped,
-                key,
-                dur,
-                released: now,
-            });
-        }
-    }
-
-    fn select_batch(&mut self, _now: f64, free: u32, out: &mut Vec<BatchStart>) {
-        // Same list-scheduling scan as `select_into`, emitting the
-        // duration and release time carried through the queue. The
-        // indexed queue drains a whole decision point in one
-        // compacting pass (`pop_fits_into`); the reference queue keeps
-        // the specification's pop-per-item loop.
+    /// List scheduling (Algorithm 1, lines 7–11): drain into `scratch`
+    /// *every* waiting task that fits, in queue order. Popping first
+    /// fits until none remains is the same scan — free only shrinks,
+    /// so a skipped task stays infeasible for this decision point. The
+    /// indexed queue does it in one compacting pass
+    /// ([`IndexedQueue::pop_fits_into`]); the reference queue keeps the
+    /// specification's pop-per-item loop.
+    fn drain_fits(&mut self, free: u32) {
         let mut free = free;
         self.scratch.clear();
         match &mut self.queue {
@@ -384,12 +254,86 @@ impl BatchScheduler for OnlineScheduler {
                 }
             }
         }
-        out.extend(self.scratch.iter().map(|item| BatchStart {
-            task: item.task,
-            procs: item.alloc,
-            dur: item.dur,
-            released: item.released,
-        }));
+    }
+}
+
+/// Both drivers share the queue and the memo; the batched hooks add
+/// three savings the per-task hooks do not, with release order, queue
+/// keys and start decisions unchanged (the differential suite in
+/// `moldable-sim/tests/batched_engine_equivalence.rs` pins this):
+///
+/// * **Bounded memo.** Releases go through [`AllocCache::allocate`],
+///   which stops interning while the models prove all distinct.
+/// * **Weight-run grouping.** Tasks revealed by one event frequently
+///   share a speedup model (chain bundles, adversarial phases, any
+///   graph built from a few weight classes). Within a batch,
+///   consecutive tasks whose models are
+///   [`SpeedupModel::bitwise_eq`] reuse the previous Algorithm 2
+///   decision without touching the cache at all.
+/// * **Carried durations.** A start reports the duration computed when
+///   the task was keyed at release, so the core re-reads no model.
+impl Scheduler for OnlineScheduler {
+    fn init(&mut self, p_total: u32) {
+        self.p_total = p_total;
+        let keep = self
+            .cache
+            .as_ref()
+            .is_some_and(|c| c.matches_algo(self.algo, p_total, self.mu));
+        if !keep {
+            self.cache = Some(AllocCache::for_algo(self.algo, p_total, self.mu));
+        }
+    }
+
+    fn release(&mut self, task: TaskId, model: &SpeedupModel) {
+        // The per-task hook keeps the always-interning memo: the
+        // per-task loop is the baseline of the `layered_1m` speed gate
+        // in CI, and bounding its memo belongs with re-basing that gate
+        // (ROADMAP item 2).
+        let allocation = match self.cache.as_mut() {
+            Some(cache) => cache.intern(model),
+            None => self.algo.allocate(model, self.p_total, self.mu),
+        };
+        self.enqueue(task, model, allocation);
+    }
+
+    fn select(&mut self, now: f64, free: u32) -> Vec<(TaskId, u32)> {
+        let mut started = Vec::new();
+        self.select_into(now, free, &mut started);
+        started
+    }
+
+    fn select_into(&mut self, _now: f64, free: u32, out: &mut Vec<(TaskId, u32)>) {
+        self.drain_fits(free);
+        out.extend(self.scratch.iter().map(|item| (item.task, item.alloc)));
+    }
+
+    fn release_batch(&mut self, graph: &TaskGraph, _now: f64, tasks: &[TaskId]) {
+        // Last distinct model seen in this batch and its decision.
+        let mut run: Option<(&SpeedupModel, Allocation)> = None;
+        for &task in tasks {
+            let model = graph.model(task);
+            let allocation = match run {
+                Some((prev, allocation)) if prev.bitwise_eq(model) => allocation,
+                _ => {
+                    let allocation = self.allocate(model);
+                    run = Some((model, allocation));
+                    allocation
+                }
+            };
+            self.enqueue(task, model, allocation);
+        }
+    }
+
+    fn select_batch(
+        &mut self,
+        _now: f64,
+        free: u32,
+        out: &mut Vec<(TaskId, u32)>,
+        durs: &mut Vec<f64>,
+    ) {
+        self.drain_fits(free);
+        out.extend(self.scratch.iter().map(|item| (item.task, item.alloc)));
+        durs.extend(self.scratch.iter().map(|item| item.dur));
     }
 }
 

@@ -12,6 +12,9 @@
 //!   in a sorted inline buffer — identical layout to the reference
 //!   queue, but with a cached minimum allocation so a decision point
 //!   where *nothing* fits is rejected in O(1) instead of a full scan.
+//!   A started item only marks its slot taken; taken slots are swept
+//!   out in one pass once they outnumber half the waiting items, so a
+//!   decision point moves no items.
 //!   At the queue depths real DAG workloads produce (a few hundred
 //!   waiting tasks), the buffer's contiguous scans and memmoves beat
 //!   any pointer structure's cache behaviour.
@@ -42,7 +45,7 @@ use moldable_graph::TaskId;
 use moldable_model::rng::splitmix64_next;
 
 /// One waiting task: identity, capped allocation, policy sort key, and
-/// the execution-time data the batched engine needs at start time.
+/// the duration the batched core needs at start time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReadyItem {
     /// The waiting task.
@@ -56,12 +59,6 @@ pub struct ReadyItem {
     /// once at release (the policy key needs it anyway) and carried
     /// through the queue so starting the task re-reads no model.
     pub dur: f64,
-    /// Simulated time at which the task was released. The batched
-    /// engine reads this into the placement record; the general engine
-    /// keeps its own released-at column (its `release` hook predates
-    /// the field), so items pushed through [`crate::OnlineScheduler`]'s
-    /// per-task `release` carry `0.0` here.
-    pub released: f64,
 }
 
 fn key_lt(a: (f64, u64), b: (f64, u64)) -> bool {
@@ -116,6 +113,10 @@ impl ReadyQueue for LinearQueue {
 
 const NIL: u32 = u32::MAX;
 
+/// Allocation marking an inline slot whose item has started: it never
+/// fits (fit tests cap `free` below it) and never lowers a minimum.
+const TAKEN: u32 = u32::MAX;
+
 /// Queue length at which [`IndexedQueue`] moves from its inline sorted
 /// buffer into the treap. Below this, contiguous scans win; above it,
 /// the O(log n) descent does.
@@ -137,13 +138,14 @@ struct Node {
 /// Worst-case O(log n) insert and first-fit pop.
 #[derive(Debug)]
 pub struct IndexedQueue {
-    /// Inline tier: sorted by key, holds *all* items iff `root == NIL`.
+    /// Inline tier: sorted by key, holds *all* waiting items iff
+    /// `root == NIL`, between slots of started items marked [`TAKEN`].
     small: Vec<ReadyItem>,
     /// Cached minimum `alloc` over `small` (`u32::MAX` when empty).
     small_min: u32,
     /// Blocked-prefix memo for [`IndexedQueue::pop_fits_into`]: the
-    /// first `blocked_len` inline items are all known to need more
-    /// than `blocked_free` processors (established by the previous
+    /// first `blocked_len` inline slots are all taken or known to need
+    /// more than `blocked_free` processors (established by the previous
     /// drain), and `blocked_min` is their minimum allocation. A drain
     /// at `free ≤ blocked_free` can start scanning at `blocked_len` —
     /// in steady state (FIFO appends) each item is examined O(1) times
@@ -154,6 +156,9 @@ pub struct IndexedQueue {
     blocked_free: u32,
     /// See [`IndexedQueue::blocked_len`].
     blocked_min: u32,
+    /// Inline slots holding a started item ([`TAKEN`] allocation),
+    /// swept out once they outnumber half the live items.
+    dead: usize,
     /// Migration point (constructor-tunable for tests).
     spill_at: usize,
     nodes: Vec<Node>,
@@ -187,6 +192,7 @@ impl IndexedQueue {
             blocked_len: 0,
             blocked_free: 0,
             blocked_min: u32::MAX,
+            dead: 0,
             spill_at: spill_at.max(1),
             nodes: Vec::new(),
             spare: Vec::new(),
@@ -343,9 +349,10 @@ impl IndexedQueue {
     /// Move every inline item into the treap (spill up).
     fn spill(&mut self) {
         let drained = std::mem::take(&mut self.small);
-        for it in drained {
+        for it in drained.into_iter().filter(|it| it.alloc != TAKEN) {
             self.tree_insert(it);
         }
+        self.dead = 0;
         self.small_min = u32::MAX;
         self.blocked_len = 0;
     }
@@ -376,6 +383,16 @@ impl IndexedQueue {
         self.spare.clear();
     }
 
+    /// Drop the started slots once they outnumber half the live items:
+    /// drains then skip over few of them, and each sweep's O(n) copy
+    /// is paid for by the n/3 starts before it.
+    fn sweep(&mut self) {
+        if self.dead * 2 > self.len {
+            self.small.retain(|it| it.alloc != TAKEN);
+            self.dead = 0;
+        }
+    }
+
     /// Recompute the cached inline minimum after a removal.
     fn refresh_small_min(&mut self) {
         self.small_min = self
@@ -391,9 +408,9 @@ impl IndexedQueue {
     /// `alloc ≤ free`, with `free` shrinking as items are taken.
     /// Exactly equivalent to looping [`ReadyQueue::pop_first_fit`] —
     /// skipped items stay infeasible because `free` only decreases —
-    /// but the inline tier does it in **one** compacting left-to-right
-    /// pass instead of re-scanning the blocked prefix once per pop,
-    /// O(n) per decision point instead of O(n·k).
+    /// but the inline tier does it in **one** left-to-right pass that
+    /// marks started slots instead of re-scanning the blocked prefix
+    /// once per pop, O(n) per decision point instead of O(n·k).
     pub fn pop_fits_into(&mut self, free: &mut u32, out: &mut Vec<ReadyItem>) {
         loop {
             if self.inline_mode() {
@@ -409,28 +426,22 @@ impl IndexedQueue {
                 } else {
                     (0, u32::MAX)
                 };
-                let mut w = start;
-                for r in start..self.small.len() {
-                    let it = self.small[r];
-                    if it.alloc <= *free {
+                for it in &mut self.small[start..] {
+                    if it.alloc <= (*free).min(TAKEN - 1) {
                         *free -= it.alloc;
-                        out.push(it);
+                        out.push(*it);
+                        it.alloc = TAKEN;
+                        self.dead += 1;
                         self.len -= 1;
                     } else {
                         min = min.min(it.alloc);
-                        // While nothing has been removed (w == r) the
-                        // prefix is already in place — no write-back.
-                        if w != r {
-                            self.small[w] = it;
-                        }
-                        w += 1;
                     }
                 }
-                self.small.truncate(w);
+                self.sweep();
                 self.small_min = min;
                 // Every survivor was (re-)certified blocked at a free
                 // count ≥ the final one — `free` only decreased.
-                self.blocked_len = w;
+                self.blocked_len = self.small.len();
                 self.blocked_free = *free;
                 self.blocked_min = min;
                 return;
@@ -452,7 +463,7 @@ impl IndexedQueue {
 impl ReadyQueue for IndexedQueue {
     fn push(&mut self, item: ReadyItem) {
         if self.inline_mode() {
-            if self.small.len() < self.spill_at {
+            if self.len < self.spill_at {
                 let pos = self.small.partition_point(|it| !key_lt(item.key, it.key));
                 if pos < self.blocked_len {
                     // Insert lands inside the certified prefix (non-FIFO
@@ -477,12 +488,16 @@ impl ReadyQueue for IndexedQueue {
             if self.small_min > free {
                 return None;
             }
-            let pos = self.small.iter().position(|it| it.alloc <= free)?;
-            let item = self.small.remove(pos);
-            // Single pops shift indices under the memo; drop it rather
+            let fit = free.min(TAKEN - 1);
+            let pos = self.small.iter().position(|it| it.alloc <= fit)?;
+            let item = self.small[pos];
+            self.small[pos].alloc = TAKEN;
+            self.dead += 1;
+            self.len -= 1;
+            // A sweep shifts indices under the memo; drop it rather
             // than track the shift (this path is not the batched drain).
             self.blocked_len = 0;
-            self.len -= 1;
+            self.sweep();
             if item.alloc == self.small_min {
                 self.refresh_small_min();
             }
@@ -521,7 +536,6 @@ mod tests {
             alloc,
             key: (primary, seq),
             dur: primary.abs(),
-            released: 0.0,
         }
     }
 
@@ -551,6 +565,26 @@ mod tests {
             .collect();
         assert_eq!(order, vec![0, 1, 2, 3, 4]);
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn started_slots_are_swept() {
+        // Steady state, one start and one release per decision point:
+        // the taken slots must not pile up in the inline buffer.
+        let mut q = IndexedQueue::new();
+        let mut out = Vec::new();
+        for seq in 0..100 {
+            q.push(item(seq, 2, 0.0));
+        }
+        for seq in 100..10_000u64 {
+            let mut free = 2;
+            out.clear();
+            q.pop_fits_into(&mut free, &mut out);
+            assert_eq!(out.len(), 1);
+            assert_eq!(out[0].key.1, seq - 100);
+            q.push(item(seq, 2, 0.0));
+            assert!(2 * q.small.len() <= 3 * q.len() + 2, "{}", q.small.len());
+        }
     }
 
     #[test]

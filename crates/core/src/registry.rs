@@ -1,7 +1,7 @@
 //! Scheduler-algorithm registry.
 //!
 //! The repository implements two online algorithms for moldable task
-//! graphs behind the same `Scheduler`/`BatchScheduler` traits:
+//! graphs behind the same `Scheduler` trait:
 //!
 //! * [`AlgoName::Icpp22`] — the ICPP'22 algorithm of
 //!   Benoit–Perotin–Robert–Sun: Algorithm 2 *minimizes area* subject to

@@ -213,6 +213,24 @@ mod tests {
     }
 
     #[test]
+    fn widest_first_runs_identically_on_both_loops() {
+        // The batched core drives `WidestFirst` through the trait's
+        // default batch hooks; the per-task loop must agree bit for bit.
+        for seed in 0..4 {
+            let g = independent(40, ModelClass::Communication, 16, seed);
+            let r = turek_schedule(&g, 16);
+            let opts = SimOptions::new(16).with_proc_ids();
+            let fast = simulate(&g, &mut WidestFirst::new(r.allocations.clone()), &opts);
+            let slow = moldable_sim::simulate_instance(
+                &mut moldable_sim::GraphInstance::new(&g),
+                &mut WidestFirst::new(r.allocations),
+                &opts,
+            );
+            assert_eq!(fast, slow, "seed {seed}");
+        }
+    }
+
+    #[test]
     fn allocation_is_minimal_for_tau() {
         let g = independent(10, ModelClass::Amdahl, 8, 7);
         let r = turek_schedule(&g, 8);

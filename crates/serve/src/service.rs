@@ -11,7 +11,7 @@ use std::sync::Arc;
 use moldable_core::{baselines, registry, AlgoName, AllocCache, OnlineScheduler, QueuePolicy};
 use moldable_graph::{gen, parse_trace, parse_workflow, TaskGraph, TraceFormat, TraceLimits};
 use moldable_model::ModelClass;
-use moldable_sim::{simulate, simulate_batched, Schedule, SimOptions};
+use moldable_sim::{simulate, Schedule, SimOptions};
 
 use crate::json::{obj, Json};
 use crate::proto::{GraphSpec, SubmitRequest};
@@ -110,31 +110,16 @@ impl GraphCache {
     }
 }
 
-/// Which simulation engine executes `online` requests. The baseline
-/// schedulers only implement the event-at-a-time [`simulate`] trait,
-/// so the choice applies to the `online` scheduler alone; both engines
-/// are differentially pinned to produce bit-identical schedules
-/// (`crates/sim/tests/batched_engine_equivalence.rs`), so the switch
-/// changes throughput, never answers.
+/// The engine names a worker once chose between. Every request now
+/// runs the one batched core behind [`simulate`], so this is a name
+/// kept for existing callers: [`WorkerContext::engine`] always reports
+/// [`EngineChoice::Batched`], and both variants schedule identically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineChoice {
-    /// The original event-at-a-time engine ([`simulate`]).
+    /// The former per-task engine.
     Legacy,
-    /// The data-oriented batched engine ([`simulate_batched`]).
+    /// The batched core.
     Batched,
-}
-
-impl EngineChoice {
-    /// Read the engine from `MOLDABLE_SERVE_ENGINE`: `batched` selects
-    /// the batched engine, anything else (including unset) the legacy
-    /// one — a deliberate fail-safe default for unrecognized values.
-    #[must_use]
-    pub fn from_env() -> Self {
-        match std::env::var("MOLDABLE_SERVE_ENGINE") {
-            Ok(v) if v.eq_ignore_ascii_case("batched") => Self::Batched,
-            _ => Self::Legacy,
-        }
-    }
 }
 
 /// Per-worker state reused across requests: one [`AllocCache`] per
@@ -148,7 +133,6 @@ pub struct WorkerContext {
     caches: HashMap<(AlgoName, u32, u64), AllocCache>,
     graphs: GraphCache,
     limits: ServiceLimits,
-    engine: EngineChoice,
 }
 
 impl Default for WorkerContext {
@@ -164,30 +148,21 @@ impl WorkerContext {
         Self::default()
     }
 
-    /// Fresh context with explicit limits. The engine comes from the
-    /// environment ([`EngineChoice::from_env`]) so a deployment can
-    /// flip every worker with one variable and no config change.
+    /// Fresh context with explicit limits.
     #[must_use]
     pub fn with_limits(limits: ServiceLimits) -> Self {
         Self {
             caches: HashMap::new(),
             graphs: GraphCache::new(limits.graph_cache_cap),
             limits,
-            engine: EngineChoice::from_env(),
         }
     }
 
-    /// Override the engine choice (tests and explicit deployments).
-    #[must_use]
-    pub fn with_engine(mut self, engine: EngineChoice) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// The engine executing this context's `online` requests.
+    /// The engine executing this context's requests: always the
+    /// batched core (see [`EngineChoice`]).
     #[must_use]
     pub fn engine(&self) -> EngineChoice {
-        self.engine
+        EngineChoice::Batched
     }
 
     /// Distinct `(algo, P, μ)` caches currently held.
@@ -196,7 +171,9 @@ impl WorkerContext {
         self.caches.len()
     }
 
-    /// Total distinct models interned across all held caches.
+    /// Total distinct models interned across all held caches. Bounded:
+    /// a cache whose models never repeat holds at most
+    /// [`moldable_core::memo::BYPASS_MIN_PROBES`] of them.
     #[must_use]
     pub fn interned_models(&self) -> usize {
         self.caches.values().map(AllocCache::len).sum()
@@ -247,30 +224,7 @@ impl WorkerContext {
         schedule
             .validate(&graph)
             .map_err(|e| format!("produced invalid schedule: {e}"))?;
-
-        let b = graph.bounds(p);
-        let lb = b.lower_bound();
-        #[allow(clippy::cast_precision_loss)]
-        let mut members = vec![
-            ("status", Json::Str("ok".into())),
-            ("n_tasks", Json::Num(graph.n_tasks() as f64)),
-            ("p", Json::Num(f64::from(p))),
-            ("makespan", Json::Num(schedule.makespan)),
-            ("lower_bound", Json::Num(lb)),
-            (
-                "normalized",
-                Json::Num(if lb > 0.0 {
-                    schedule.makespan / lb
-                } else {
-                    1.0
-                }),
-            ),
-            ("utilization", Json::Num(schedule.utilization())),
-        ];
-        if req.include_allocations {
-            members.push(("allocations", allocations_json(&schedule)));
-        }
-        Ok(obj(members))
+        Ok(reply(&graph, p, &schedule, req.include_allocations))
     }
 
     fn build_graph(&mut self, req: &SubmitRequest) -> Result<(Arc<TaskGraph>, u32), String> {
@@ -391,10 +345,7 @@ impl WorkerContext {
                 if let Some(cache) = self.caches.remove(&(algo, p, mu.to_bits())) {
                     s = s.with_alloc_cache(cache);
                 }
-                let result = match self.engine {
-                    EngineChoice::Legacy => simulate(graph, &mut s, &opts),
-                    EngineChoice::Batched => simulate_batched(graph, &mut s, &opts),
-                };
+                let result = simulate(graph, &mut s, &opts);
                 if let Some(cache) = s.take_alloc_cache() {
                     self.caches.insert((algo, p, mu.to_bits()), cache);
                 }
@@ -458,6 +409,32 @@ pub(crate) fn parse_model_class(name: &str) -> Result<ModelClass, String> {
     })
 }
 
+/// The `ok` reply for `schedule` of `graph` on `p` processors.
+fn reply(graph: &TaskGraph, p: u32, schedule: &Schedule, include_allocations: bool) -> Json {
+    let lb = graph.bounds(p).lower_bound();
+    #[allow(clippy::cast_precision_loss)]
+    let mut members = vec![
+        ("status", Json::Str("ok".into())),
+        ("n_tasks", Json::Num(graph.n_tasks() as f64)),
+        ("p", Json::Num(f64::from(p))),
+        ("makespan", Json::Num(schedule.makespan)),
+        ("lower_bound", Json::Num(lb)),
+        (
+            "normalized",
+            Json::Num(if lb > 0.0 {
+                schedule.makespan / lb
+            } else {
+                1.0
+            }),
+        ),
+        ("utilization", Json::Num(schedule.utilization())),
+    ];
+    if include_allocations {
+        members.push(("allocations", allocations_json(schedule)));
+    }
+    obj(members)
+}
+
 fn allocations_json(schedule: &Schedule) -> Json {
     Json::Arr(
         schedule
@@ -512,23 +489,90 @@ mod tests {
         assert!(normalized <= 4.74 + 1e-9);
     }
 
+    /// The reply a named `online` request gets when its schedule comes
+    /// from the per-task loop instead of the batched core.
+    fn per_task_reply(req: &SubmitRequest) -> Json {
+        let GraphSpec::Named { shape, size } = &req.graph else {
+            unreachable!("named requests only")
+        };
+        let class = parse_model_class(&req.model).unwrap();
+        let p = req.p.unwrap();
+        let g = gen::by_name(shape, *size, class, p, req.seed).unwrap();
+        let algo = registry::by_name(&req.algo).unwrap();
+        let mut s = OnlineScheduler::for_algo_class(algo, class);
+        let mut opts = SimOptions::new(p);
+        if req.include_allocations {
+            opts = opts.with_proc_ids();
+        }
+        let schedule = moldable_sim::simulate_instance(
+            &mut moldable_sim::GraphInstance::new(&g),
+            &mut s,
+            &opts,
+        )
+        .unwrap();
+        reply(&g, p, &schedule, req.include_allocations)
+    }
+
     #[test]
-    fn batched_engine_serves_identical_replies() {
-        // The engine switch must be invisible in every reply field —
+    fn replies_match_the_per_task_loop() {
+        // The batched core must be invisible in every reply field —
         // including per-task allocations, which expose start order and
         // processor ids, the two things batching could plausibly
         // perturb.
         for mut req in [named("cholesky", 6, 32, 7), named("layered", 8, 24, 9)] {
             req.include_allocations = true;
-            let mut legacy = WorkerContext::new().with_engine(EngineChoice::Legacy);
-            let mut batched = WorkerContext::new().with_engine(EngineChoice::Batched);
-            assert_eq!(legacy.engine(), EngineChoice::Legacy);
-            assert_eq!(batched.engine(), EngineChoice::Batched);
-            let a = legacy.handle(&req);
-            let b = batched.handle(&req);
+            let mut ctx = WorkerContext::new();
+            assert_eq!(ctx.engine(), EngineChoice::Batched);
+            let a = ctx.handle(&req);
             assert_eq!(a.get("status").unwrap().as_str(), Some("ok"));
-            assert_eq!(a, b, "engines must serve bit-identical replies");
+            assert_eq!(a, per_task_reply(&req), "bit-identical replies");
         }
+    }
+
+    #[test]
+    fn cold_traffic_keeps_the_alloc_caches_bounded() {
+        // Fresh seeds give every task a model no earlier request had:
+        // caches that interned them all grew by one entry per task
+        // scheduled, for the worker's lifetime. Each cache must stop
+        // interning once it proves useless.
+        const SHAPES: [(&str, u32); 10] = [
+            ("cholesky", 12),
+            ("lu", 10),
+            ("wavefront", 40),
+            ("layered", 25),
+            ("fork-join", 400),
+            ("fft", 7),
+            ("out-tree", 10),
+            ("in-tree", 9),
+            ("random", 200),
+            ("independent", 3000),
+        ];
+        const CLASSES: [&str; 4] = ["roofline", "communication", "amdahl", "general"];
+        let mut ctx = WorkerContext::new();
+        let mut tasks = 0;
+        for i in 0..200u32 {
+            let (shape, size) = SHAPES[(i % 10) as usize];
+            let mut req = named(
+                shape,
+                size,
+                [64, 256][(i / 10 % 2) as usize],
+                1000 + u64::from(i),
+            );
+            req.model = CLASSES[(i / 20 % 4) as usize].into();
+            req.algo = ["icpp22", "improved23"][(i / 80 % 2) as usize].into();
+            let r = ctx.handle(&req);
+            assert_eq!(r.get("status").unwrap().as_str(), Some("ok"), "{req:?}");
+            tasks += r.get("n_tasks").unwrap().as_u64().unwrap();
+        }
+        let per_cache = usize::try_from(moldable_core::memo::BYPASS_MIN_PROBES).unwrap();
+        let bound = ctx.cache_count() * per_cache + 200;
+        assert!(
+            ctx.interned_models() <= bound,
+            "{} models interned by {} caches over {tasks} tasks (bound {bound})",
+            ctx.interned_models(),
+            ctx.cache_count()
+        );
+        assert!(tasks > 2 * bound as u64, "the stream outgrows the bound");
     }
 
     #[test]
@@ -794,9 +838,8 @@ mod tests {
         let a = ctx.handle(&req);
         assert_eq!(a.get("status").unwrap().as_str(), Some("ok"), "{a:?}");
         assert_eq!(a, ctx.handle(&req), "per-seed determinism");
-        // The engine switch stays invisible under the new algorithm.
-        let mut batched = WorkerContext::new().with_engine(EngineChoice::Batched);
-        assert_eq!(a, batched.handle(&req), "engines must agree per algo");
+        // The batched core stays invisible under the new algorithm.
+        assert_eq!(a, per_task_reply(&req), "loops must agree per algo");
     }
 
     #[test]

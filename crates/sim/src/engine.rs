@@ -1,4 +1,6 @@
-//! The discrete-event simulation engine.
+//! The scheduler and instance traits, and the per-task event loop
+//! ([`simulate_instance`]) that runs dynamic [`Instance`]s; static
+//! graphs take the batched core ([`crate::simulate`]).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -17,6 +19,10 @@ use crate::{Placement, ProcPool, Schedule};
 /// speedup model, matching the paper's online information model. At
 /// every decision point (time 0 and each completion) the engine calls
 /// [`Scheduler::select`] repeatedly until it returns an empty batch.
+///
+/// The batched core ([`crate::simulate`]) drives the same contract
+/// through [`Scheduler::release_batch`] and [`Scheduler::select_batch`],
+/// whose defaults are built from the per-task hooks.
 pub trait Scheduler {
     /// Called once before the simulation starts.
     fn init(&mut self, p_total: u32) {
@@ -41,6 +47,33 @@ pub trait Scheduler {
     /// append.
     fn select_into(&mut self, now: f64, free: u32, out: &mut Vec<(TaskId, u32)>) {
         out.extend(self.select(now, free));
+    }
+
+    /// `tasks` became available at time `now`, in the order the
+    /// per-task loop releases them; the default calls
+    /// [`Scheduler::release`] once per task.
+    fn release_batch(&mut self, graph: &TaskGraph, now: f64, tasks: &[TaskId]) {
+        let _ = now;
+        for &t in tasks {
+            self.release(t, graph.model(t));
+        }
+    }
+
+    /// [`Scheduler::select_into`] for the batched core, which can also
+    /// take each pick's duration: a scheduler that already holds
+    /// `model.time(procs)` for its picks appends it to `durs`, one per
+    /// pick in `out` order, bit-exactly. The core prices every pick
+    /// without one as `graph.model(task).time(procs)` once it has
+    /// validated the pick; the default appends none.
+    fn select_batch(
+        &mut self,
+        now: f64,
+        free: u32,
+        out: &mut Vec<(TaskId, u32)>,
+        durs: &mut Vec<f64>,
+    ) {
+        let _ = durs;
+        self.select_into(now, free, out);
     }
 }
 
@@ -263,20 +296,6 @@ impl Ord for Event {
     }
 }
 
-/// Simulate a static task graph under `scheduler`. Convenience wrapper
-/// over [`simulate_instance`].
-///
-/// # Errors
-///
-/// Propagates any [`SimError`] the scheduler provokes.
-pub fn simulate(
-    graph: &TaskGraph,
-    scheduler: &mut dyn Scheduler,
-    opts: &SimOptions,
-) -> Result<Schedule, SimError> {
-    simulate_instance(&mut GraphInstance::new(graph), scheduler, opts)
-}
-
 /// Run an [`Instance`] (static or adaptive) to completion under
 /// `scheduler` on `opts.p_total` processors.
 ///
@@ -485,10 +504,24 @@ pub fn simulate_instance(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simulate;
     use moldable_graph::GraphBuilder;
 
     fn unit(w: f64) -> SpeedupModel {
         SpeedupModel::amdahl(w, 0.0).unwrap()
+    }
+
+    /// Run `g` through the batched core and the per-task loop, each
+    /// with a fresh scheduler from `mk`; demand identical results.
+    fn both<S: Scheduler>(
+        g: &TaskGraph,
+        mk: impl Fn() -> S,
+        opts: &SimOptions,
+    ) -> Result<Schedule, SimError> {
+        let fast = simulate(g, &mut mk(), opts);
+        let slow = simulate_instance(&mut GraphInstance::new(g), &mut mk(), opts);
+        assert_eq!(fast, slow, "batched core and per-task loop disagree");
+        fast
     }
 
     /// Greedy FIFO: start queued tasks on a fixed allocation while they fit.
@@ -535,7 +568,7 @@ mod tests {
         g.add_edge(a, b).unwrap();
         g.add_edge(b, c).unwrap();
         let g = g.freeze();
-        let s = simulate(&g, &mut Fifo::new(1), &SimOptions::new(4)).unwrap();
+        let s = both(&g, || Fifo::new(1), &SimOptions::new(4)).unwrap();
         assert_eq!(s.makespan, 6.0);
         assert_eq!(s.placements.len(), 3);
         assert_eq!(s.placement(b).unwrap().start, 2.0);
@@ -550,7 +583,7 @@ mod tests {
         }
         let g = g.freeze();
         // P = 4, one proc each: 4 run at t=0, 2 at t=1.
-        let s = simulate(&g, &mut Fifo::new(1), &SimOptions::new(4)).unwrap();
+        let s = both(&g, || Fifo::new(1), &SimOptions::new(4)).unwrap();
         assert_eq!(s.makespan, 2.0);
         assert_eq!(s.placements.iter().filter(|p| p.start == 0.0).count(), 4);
         s.validate(&g).unwrap();
@@ -565,7 +598,7 @@ mod tests {
         g.add_edge(a, c).unwrap();
         g.add_edge(b, c).unwrap();
         let g = g.freeze();
-        let s = simulate(&g, &mut Fifo::new(2), &SimOptions::new(4)).unwrap();
+        let s = both(&g, || Fifo::new(2), &SimOptions::new(4)).unwrap();
         // a and b run in parallel on 2 procs each over [0, 0.5);
         // c starts exactly when both complete.
         assert_eq!(s.placement(c).unwrap().start, 0.5);
@@ -585,7 +618,7 @@ mod tests {
         let mut g = GraphBuilder::new();
         g.add_task(unit(1.0));
         let g = g.freeze();
-        let err = simulate(&g, &mut Bad, &SimOptions::new(4)).unwrap_err();
+        let err = both(&g, || Bad, &SimOptions::new(4)).unwrap_err();
         assert!(matches!(
             err,
             SimError::Oversubscribed {
@@ -598,11 +631,11 @@ mod tests {
 
     #[test]
     fn unavailable_task_is_detected() {
-        struct Eager;
+        struct Eager(u32);
         impl Scheduler for Eager {
             fn release(&mut self, _t: TaskId, _m: &SpeedupModel) {}
             fn select(&mut self, _now: f64, _free: u32) -> Vec<(TaskId, u32)> {
-                vec![(TaskId(1), 1)] // task 1 not yet revealed
+                vec![(TaskId(self.0), 1)]
             }
         }
         let mut g = GraphBuilder::new();
@@ -610,8 +643,11 @@ mod tests {
         let b = g.add_task(unit(1.0));
         g.add_edge(a, b).unwrap();
         let g = g.freeze();
-        let err = simulate(&g, &mut Eager, &SimOptions::new(4)).unwrap_err();
-        assert_eq!(err, SimError::NotAvailable(TaskId(1)));
+        // Task 1 is not yet revealed; task 99 does not exist.
+        for id in [1, 99] {
+            let err = both(&g, || Eager(id), &SimOptions::new(4)).unwrap_err();
+            assert_eq!(err, SimError::NotAvailable(TaskId(id)));
+        }
     }
 
     #[test]
@@ -626,7 +662,7 @@ mod tests {
         let mut g = GraphBuilder::new();
         g.add_task(unit(1.0));
         let g = g.freeze();
-        let err = simulate(&g, &mut Zero, &SimOptions::new(4)).unwrap_err();
+        let err = both(&g, || Zero, &SimOptions::new(4)).unwrap_err();
         assert_eq!(err, SimError::ZeroProcs(TaskId(0)));
     }
 
@@ -642,7 +678,7 @@ mod tests {
         let mut g = GraphBuilder::new();
         g.add_task(unit(1.0));
         let g = g.freeze();
-        let err = simulate(&g, &mut Lazy, &SimOptions::new(4)).unwrap_err();
+        let err = both(&g, || Lazy, &SimOptions::new(4)).unwrap_err();
         assert!(matches!(err, SimError::Stuck { .. }));
     }
 
@@ -653,7 +689,7 @@ mod tests {
         g.add_task(unit(1.0));
         let g = g.freeze();
         let opts = SimOptions::new(4).with_proc_ids();
-        let s = simulate(&g, &mut Fifo::new(2), &opts).unwrap();
+        let s = both(&g, || Fifo::new(2), &opts).unwrap();
         assert_eq!(s.placements[0].proc_ranges, vec![(0, 1)]);
         assert_eq!(s.placements[1].proc_ranges, vec![(2, 3)]);
     }
@@ -665,7 +701,7 @@ mod tests {
         let b = g.add_task(unit(3.0));
         g.add_edge(a, b).unwrap();
         let g = g.freeze();
-        let s = simulate(&g, &mut Fifo::new(1), &SimOptions::new(2)).unwrap();
+        let s = both(&g, || Fifo::new(1), &SimOptions::new(2)).unwrap();
         assert_eq!(s.placement(a).unwrap().released, 0.0);
         // b was revealed when a completed at t = 2 and started right away.
         assert_eq!(s.placement(b).unwrap().released, 2.0);
@@ -678,16 +714,16 @@ mod tests {
         let mut g = GraphBuilder::new();
         g.add_task(unit(8.0));
         let g = g.freeze();
-        let s = simulate(&g, &mut Fifo::new(4), &SimOptions::new(4)).unwrap();
+        let s = both(&g, || Fifo::new(4), &SimOptions::new(4)).unwrap();
         assert_eq!(s.makespan, 2.0); // 8 / 4
-        let s = simulate(&g, &mut Fifo::new(2), &SimOptions::new(4)).unwrap();
+        let s = both(&g, || Fifo::new(2), &SimOptions::new(4)).unwrap();
         assert_eq!(s.makespan, 4.0); // 8 / 2
     }
 
     #[test]
     fn empty_graph_simulates_to_empty_schedule() {
         let g = TaskGraph::empty();
-        let s = simulate(&g, &mut Fifo::new(1), &SimOptions::new(2)).unwrap();
+        let s = both(&g, || Fifo::new(1), &SimOptions::new(2)).unwrap();
         assert_eq!(s.makespan, 0.0);
         assert!(s.placements.is_empty());
     }
@@ -699,7 +735,7 @@ mod tests {
             g.add_task(unit(3.0));
         }
         let g = g.freeze();
-        let s = simulate(&g, &mut Fifo::new(1), &SimOptions::new(4)).unwrap();
+        let s = both(&g, || Fifo::new(1), &SimOptions::new(4)).unwrap();
         assert!((s.utilization() - 1.0).abs() < 1e-12);
     }
 }

@@ -12,10 +12,13 @@
 //! asks the scheduler which available tasks to start whenever
 //! processors free up. The engine never leaks unrevealed structure.
 //!
-//! For adaptive lower bounds (the paper's Section 5 adversary decides
-//! the graph *in response to* the algorithm's behaviour), the engine
-//! also runs against the more general [`Instance`] trait, of which a
-//! [`moldable_graph::TaskGraph`] is the static special case.
+//! A static [`moldable_graph::TaskGraph`] runs through [`simulate`], a
+//! batched struct-of-arrays core that serves every scheduler. For
+//! adaptive lower bounds (the paper's Section 5 adversary decides the
+//! graph *in response to* the algorithm's behaviour), arrivals and
+//! failures, [`simulate_instance`] runs the more general [`Instance`]
+//! trait one task at a time; both produce bit-identical schedules on
+//! a static graph.
 //!
 //! # Example
 //!
@@ -63,10 +66,10 @@ mod trace;
 mod validate;
 
 pub use arrivals::TimedArrivals;
-pub use batched::{simulate_batched, BatchScheduler, BatchStart};
-pub use engine::{
-    simulate, simulate_instance, GraphInstance, Instance, Scheduler, SimError, SimOptions,
-};
+pub use batched::simulate;
+/// Former name of [`simulate`], kept for existing callers.
+pub use batched::simulate as simulate_batched;
+pub use engine::{simulate_instance, GraphInstance, Instance, Scheduler, SimError, SimOptions};
 pub use gantt::gantt_ascii;
 pub use procmap::ProcPool;
 pub use profile::{interval_profile, IntervalProfile};

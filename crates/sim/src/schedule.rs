@@ -53,7 +53,7 @@ impl Placement {
 /// Produced by the simulator, or hand-built with [`ScheduleBuilder`]
 /// (the paper's proofs describe explicit near-optimal schedules which
 /// we reconstruct and validate).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Schedule {
     /// Platform size.
     pub p_total: u32,

@@ -1,27 +1,27 @@
 //! Arrival-order tie-breaks pinned bit-identically across engines.
 //!
 //! A batch of tasks sharing one release instant can be expressed three
-//! ways: as a [`TimedArrivals`] stream driven by the general engine,
-//! as an independent-tasks graph driven by the general engine, and as
-//! the same graph driven by the batched engine. All three must place
+//! ways: as a [`TimedArrivals`] stream driven by the per-task loop,
+//! as an independent-tasks graph driven by the per-task loop, and as
+//! the same graph driven by the batched core. All three must place
 //! every task with bit-equal `(start, end, procs, released)` — the
 //! revelation order for simultaneous arrivals (submission order) and
 //! the completion tie-break (start sequence) are part of the engine
 //! contract, not an accident of implementation. The incremental
 //! [`Stepper`] joins the pin as a fourth expression of the same run.
 
-use moldable_graph::{GraphBuilder, TaskGraph, TaskId};
+use moldable_graph::{GraphBuilder, TaskId};
 use moldable_model::SpeedupModel;
 use moldable_sim::{
-    simulate, simulate_batched, simulate_instance, BatchScheduler, BatchStart, Placement,
-    Scheduler, SimOptions, Stepper, TimedArrivals,
+    simulate, simulate_instance, GraphInstance, Placement, Scheduler, SimOptions, Stepper,
+    TimedArrivals,
 };
 
 fn unit(w: f64) -> SpeedupModel {
     SpeedupModel::amdahl(w, 0.0).unwrap()
 }
 
-/// Greedy FIFO on one processor per task (general-engine form).
+/// Greedy FIFO on one processor per task.
 #[derive(Default)]
 struct Fifo {
     queue: std::collections::VecDeque<TaskId>,
@@ -34,30 +34,6 @@ impl Scheduler for Fifo {
     fn select(&mut self, _now: f64, free: u32) -> Vec<(TaskId, u32)> {
         let take = (free as usize).min(self.queue.len());
         self.queue.drain(..take).map(|t| (t, 1)).collect()
-    }
-}
-
-/// The same policy in batched form; durations are keyed at release,
-/// exactly as the contract demands.
-#[derive(Default)]
-struct BatchFifo {
-    queue: std::collections::VecDeque<BatchStart>,
-}
-
-impl BatchScheduler for BatchFifo {
-    fn release_batch(&mut self, graph: &TaskGraph, now: f64, tasks: &[TaskId]) {
-        for &t in tasks {
-            self.queue.push_back(BatchStart {
-                task: t,
-                procs: 1,
-                dur: graph.model(t).time(1),
-                released: now,
-            });
-        }
-    }
-    fn select_batch(&mut self, _now: f64, free: u32, out: &mut Vec<BatchStart>) {
-        let take = (free as usize).min(self.queue.len());
-        out.extend(self.queue.drain(..take));
     }
 }
 
@@ -99,16 +75,17 @@ fn arrival_tie_breaks_agree_across_legacy_batched_and_stepper() {
     )
     .unwrap();
 
-    // 2) The equivalent independent-tasks graph, general engine.
+    // 2) The equivalent independent-tasks graph, per-task loop.
     let mut b = GraphBuilder::new();
     for &w in &works {
         b.add_task(unit(w));
     }
     let graph = b.freeze();
-    let via_graph = simulate(&graph, &mut Fifo::default(), &opts).unwrap();
+    let via_graph =
+        simulate_instance(&mut GraphInstance::new(&graph), &mut Fifo::default(), &opts).unwrap();
 
-    // 3) Same graph, batched engine.
-    let via_batched = simulate_batched(&graph, &mut BatchFifo::default(), &opts).unwrap();
+    // 3) Same graph, batched core.
+    let via_batched = simulate(&graph, &mut Fifo::default(), &opts).unwrap();
 
     // 4) TimedArrivals again, incremental stepper.
     let via_stepper = Stepper::new(TimedArrivals::new(releases), Fifo::default(), &opts)
@@ -119,7 +96,7 @@ fn arrival_tie_breaks_agree_across_legacy_batched_and_stepper() {
     assert_eq!(
         fingerprint(&via_graph.placements),
         reference,
-        "graph/legacy"
+        "graph/per-task"
     );
     assert_eq!(fingerprint(&via_batched.placements), reference, "batched");
     assert_eq!(fingerprint(&via_stepper.placements), reference, "stepper");

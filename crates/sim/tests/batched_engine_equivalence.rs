@@ -1,63 +1,128 @@
-//! Differential tests: the batched data-oriented engine must be
-//! *observationally identical* to the legacy event-at-a-time engine.
+//! Differential tests: the batched core behind [`simulate`] must be
+//! *observationally identical* to the per-task loop of
+//! [`simulate_instance`] on a [`GraphInstance`] of the same graph.
 //!
-//! [`simulate_batched`] changed three things at once: task state moved
-//! from per-task enums into struct-of-arrays columns, completions at
+//! The batched core differs from the per-task loop in three ways at
+//! once: task state lives in struct-of-arrays columns, completions at
 //! one time instant are drained and processed as a single batch, and
-//! the scheduler computes Algorithm 2 once per distinct weight class
-//! per release batch (with an adaptive allocation-cache bypass). Any
-//! of those could silently reorder revelation or change an allocation
-//! — and both decide tie-breaks, so they decide schedules. These tests
-//! run the same frozen instance through both engines with identically
-//! configured schedulers and demand bit-identical schedules: same
-//! start times, same widths, same released-at stamps, same makespan,
-//! same placement order.
+//! the scheduler is driven through `release_batch`/`select_batch` —
+//! the trait defaults for most schedulers, and for the online
+//! scheduler overrides that compute Algorithm 2 once per weight run
+//! and carry durations through the queue. Any of those could silently
+//! reorder revelation or change an allocation — and both decide
+//! tie-breaks, so they decide schedules. These tests run the same
+//! frozen instance through both loops with identically configured
+//! schedulers — the online scheduler and every baseline — and demand
+//! bit-identical schedules (same start times, widths, released-at
+//! stamps, processor ids, makespan and placement order) or identical
+//! errors.
 //!
 //! Mirrors `crates/adversary/tests/frozen_csr_equivalence.rs`, which
 //! plays the same role for the frozen-CSR graph refactor.
 
 use moldable_adversary::{amdahl, arbitrary, communication, general, generic, roofline};
-use moldable_core::OnlineScheduler;
-use moldable_graph::{gen, GraphBuilder, TaskGraph};
+use moldable_core::{baselines, AdaptiveScheduler, EasyBackfillScheduler, OnlineScheduler};
+use moldable_graph::{gen, GraphBuilder, TaskGraph, TaskId};
 use moldable_model::rng::StdRng;
 use moldable_model::sample::ParamDistribution;
 use moldable_model::{ModelClass, SpeedupModel};
-use moldable_sim::{simulate, simulate_batched, Schedule, SimOptions};
+use moldable_offline::cpa::FixedAllocScheduler;
+use moldable_offline::{cpa_allocations, turek_schedule};
+use moldable_sim::{
+    simulate, simulate_instance, GraphInstance, Schedule, Scheduler, SimError, SimOptions,
+};
 
-fn assert_same_schedule(a: &Schedule, b: &Schedule, ctx: &str) {
-    assert_eq!(a.makespan, b.makespan, "{ctx}: makespans differ");
-    assert_eq!(
-        a.placements, b.placements,
-        "{ctx}: placements differ (start order, widths, or release stamps)"
-    );
+/// A factory of identically configured schedulers.
+type MakeScheduler = Box<dyn Fn() -> Box<dyn Scheduler>>;
+
+/// Run `g` through both loops, each with a fresh scheduler from `mk`,
+/// with and without processor-id recording; demand identical results
+/// and return the batched core's.
+fn same_result(
+    g: &TaskGraph,
+    p_total: u32,
+    mk: &dyn Fn() -> Box<dyn Scheduler>,
+    ctx: &str,
+) -> Result<Schedule, SimError> {
+    let mut first = None;
+    for opts in [
+        SimOptions::new(p_total),
+        SimOptions::new(p_total).with_proc_ids(),
+    ] {
+        let fast = simulate(g, &mut *mk(), &opts);
+        let slow = simulate_instance(&mut GraphInstance::new(g), &mut *mk(), &opts);
+        match (&fast, &slow) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(
+                    a.makespan.to_bits(),
+                    b.makespan.to_bits(),
+                    "{ctx}: makespans differ"
+                );
+                assert_eq!(
+                    a.placements, b.placements,
+                    "{ctx}: placements differ (start order, widths, release stamps or proc ids)"
+                );
+            }
+            _ => assert_eq!(fast, slow, "{ctx}: outcomes differ"),
+        }
+        first.get_or_insert(fast);
+    }
+    first.expect("two runs")
 }
 
-/// Run `g` through the legacy engine and the batched engine, with
-/// identically configured schedulers, and compare bit-for-bit. Also
-/// repeats the batched run with processor-id recording on, so the
-/// contiguous-range bookkeeping matches the legacy pool exactly.
-fn differential(g: &TaskGraph, p_total: u32, mu: f64, ctx: &str) {
-    let mut slow = OnlineScheduler::with_mu(mu);
-    let a = simulate(g, &mut slow, &SimOptions::new(p_total)).unwrap();
-    a.validate(g).unwrap();
+/// [`same_result`] for a scheduler that must succeed; validates.
+fn differential(g: &TaskGraph, p_total: u32, mk: &dyn Fn() -> Box<dyn Scheduler>, ctx: &str) {
+    let s = same_result(g, p_total, mk, ctx).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+    s.validate(g)
+        .unwrap_or_else(|e| panic!("{ctx}: invalid schedule: {e}"));
+}
 
-    let mut fast = OnlineScheduler::with_mu(mu);
-    let b = simulate_batched(g, &mut fast, &SimOptions::new(p_total)).unwrap();
-    b.validate(g).unwrap();
-    assert_same_schedule(&a, &b, ctx);
+/// The online scheduler (Algorithm 1) at `mu`.
+fn online(g: &TaskGraph, p_total: u32, mu: f64, ctx: &str) {
+    differential(g, p_total, &|| Box::new(OnlineScheduler::with_mu(mu)), ctx);
+}
 
-    let mut slow = OnlineScheduler::with_mu(mu);
-    let ap = simulate(g, &mut slow, &SimOptions::new(p_total).with_proc_ids()).unwrap();
-    let mut fast = OnlineScheduler::with_mu(mu);
-    let bp = simulate_batched(g, &mut fast, &SimOptions::new(p_total).with_proc_ids()).unwrap();
-    assert_same_schedule(&ap, &bp, ctx);
-    for (x, y) in ap.placements.iter().zip(&bp.placements) {
-        assert_eq!(x.proc_ranges, y.proc_ranges, "{ctx}: proc ids differ");
-    }
+/// Every baseline that runs on a static graph: the list-scheduling
+/// allocation rules, ECT, equal share, EASY backfill, adaptive μ, and
+/// CPA's fixed allocations.
+fn baselines_for(
+    g: &TaskGraph,
+    p_total: u32,
+    class: ModelClass,
+) -> Vec<(&'static str, MakeScheduler)> {
+    let mu = class.optimal_mu();
+    let cpa = cpa_allocations(g, p_total);
+    vec![
+        ("one-proc", Box::new(|| Box::new(baselines::one_proc()))),
+        ("max-proc", Box::new(|| Box::new(baselines::max_proc()))),
+        ("fixed-3", Box::new(|| Box::new(baselines::fixed(3)))),
+        (
+            "lpa-only",
+            Box::new(move || Box::new(baselines::lpa_only(mu))),
+        ),
+        (
+            "cap-only",
+            Box::new(move || Box::new(baselines::cap_only(mu))),
+        ),
+        ("ect", Box::new(|| Box::new(baselines::EctScheduler::new()))),
+        (
+            "equal-share",
+            Box::new(|| Box::new(baselines::EqualShareScheduler::new())),
+        ),
+        (
+            "backfill",
+            Box::new(move || Box::new(EasyBackfillScheduler::new(mu))),
+        ),
+        ("adaptive", Box::new(|| Box::new(AdaptiveScheduler::new()))),
+        (
+            "cpa",
+            Box::new(move || Box::new(FixedAllocScheduler::new(cpa.clone()))),
+        ),
+    ]
 }
 
 #[test]
-fn batched_engine_matches_legacy_on_generator_shapes() {
+fn batched_core_matches_per_task_loop_on_generator_shapes() {
     // Every shape family exercises a distinct completion-batch pattern:
     // chains never batch, independent sets batch maximally, trees and
     // butterflies batch per level, dense kernels batch irregularly.
@@ -79,7 +144,7 @@ fn batched_engine_matches_legacy_on_generator_shapes() {
             for class in [ModelClass::Roofline, ModelClass::Amdahl] {
                 let p = 32;
                 let g = gen::by_name(shape, size, class, p, seed).unwrap();
-                differential(
+                online(
                     &g,
                     p,
                     class.optimal_mu(),
@@ -91,7 +156,7 @@ fn batched_engine_matches_legacy_on_generator_shapes() {
 }
 
 #[test]
-fn batched_engine_matches_legacy_on_lower_bound_instances() {
+fn batched_core_matches_per_task_loop_on_lower_bound_instances() {
     // The Section 5 constructions are the instances most sensitive to
     // revelation order: their proofs depend on B-tasks being revealed
     // before the next A-task. Identical-length stages mean *every*
@@ -105,18 +170,18 @@ fn batched_engine_matches_legacy_on_lower_bound_instances() {
         ("general-k6", general::instance(6)),
     ];
     for (name, inst) in instances {
-        differential(&inst.graph, inst.p_total, inst.mu, name);
+        online(&inst.graph, inst.p_total, inst.mu, name);
     }
 }
 
 #[test]
-fn batched_engine_matches_legacy_on_figure_graphs() {
+fn batched_core_matches_per_task_loop_on_figure_graphs() {
     // Figure 3's chain bundle (Theorem 9's static skeleton) and the
     // Figure 1 generic layered graph at an off-theorem size.
     for l in [2u32, 3, 4] {
         let (g, _) = arbitrary::fig3_graph(l);
         let p = arbitrary::params(l).p_total;
-        differential(&g, p, 0.3, &format!("fig3 l={l}"));
+        online(&g, p, 0.3, &format!("fig3 l={l}"));
     }
     let inst = generic::GenericInstance::build(
         4,
@@ -125,11 +190,11 @@ fn batched_engine_matches_legacy_on_figure_graphs() {
         &SpeedupModel::roofline(4.0, 2).unwrap(),
         SpeedupModel::amdahl(2.0, 0.1).unwrap(),
     );
-    differential(&inst.graph, 16, 0.3, "generic 4x3");
+    online(&inst.graph, 16, 0.3, "generic 4x3");
 }
 
 #[test]
-fn batched_engine_matches_legacy_on_random_dags() {
+fn batched_core_matches_per_task_loop_on_random_dags() {
     // Density sweep over layered-random DAGs with mixed General-class
     // models: irregular adjacency (empty succ lists, high-degree hubs)
     // plus near-equal durations that produce accidental ties.
@@ -142,7 +207,7 @@ fn batched_engine_matches_legacy_on_random_dags() {
         let mut srng = StdRng::seed_from_u64(case * 37 + 5);
         let density = 0.1 + 0.1 * (case as f64);
         let g = gen::layered_random(5, 9, density, &mut srng, &mut assign);
-        differential(&g, p_total, 0.25, &format!("random-dag case {case}"));
+        online(&g, p_total, 0.25, &format!("random-dag case {case}"));
     }
     // The sparse generator feeds the million-task bench; its graphs
     // must go through the same differential.
@@ -153,7 +218,7 @@ fn batched_engine_matches_legacy_on_random_dags() {
         let mut assign = gen::weighted_sampler(ModelClass::General, dist, p_total, &mut mrng);
         let mut srng = StdRng::seed_from_u64(case + 77);
         let g = gen::layered_random_sparse(8, 24, 0.08, &mut srng, &mut assign);
-        differential(&g, p_total, 0.25, &format!("sparse-layered case {case}"));
+        online(&g, p_total, 0.25, &format!("sparse-layered case {case}"));
     }
 }
 
@@ -171,8 +236,8 @@ fn simultaneous_finish_tie_break_is_pinned() {
     // approximate). Each source reveals two children; only 2 of the 6
     // children fit at once (P = 2, one processor each), so the start
     // order of the children is decided purely by revelation order and
-    // queue tie-breaks. The legacy engine processes the three
-    // completions one event at a time; the batched engine frees and
+    // queue tie-breaks. The per-task loop processes the three
+    // completions one event at a time; the batched core frees and
     // reveals them as one batch. Both must reveal successors in
     // completion-event order (source id order here) and start children
     // in release-sequence order.
@@ -193,14 +258,14 @@ fn simultaneous_finish_tie_break_is_pinned() {
     let g = b.freeze();
     let p_total = 2;
 
-    differential(&g, p_total, 0.3, "tie-break pin");
+    online(&g, p_total, 0.3, "tie-break pin");
 
     // Pin the exact start order so a *coordinated* regression in both
-    // engines cannot slip through the differential: sources in id
+    // loops cannot slip through the differential: sources in id
     // order at t = 0 (P = 2 admits two; the third waits one batch...
     // but every source needs 1 proc, so starts stagger by finish).
     let mut sched = OnlineScheduler::with_mu(0.3);
-    let s = simulate_batched(&g, &mut sched, &SimOptions::new(p_total)).unwrap();
+    let s = simulate(&g, &mut sched, &SimOptions::new(p_total)).unwrap();
     let order: Vec<u32> = s.placements.iter().map(|p| p.task.0).collect();
     // t=0: s0, s1 start (P=2). t=2: both finish in one batch, reveal
     // c0..c3 in source-id order; s2 was released first so it starts
@@ -217,4 +282,166 @@ fn simultaneous_finish_tie_break_is_pinned() {
     let starts: Vec<f64> = s.placements.iter().map(|p| p.start).collect();
     assert_eq!(starts[..2], [0.0, 0.0]);
     assert_eq!(starts[2], 2.0, "s2 starts the instant s0/s1 finish");
+}
+
+#[test]
+fn batched_core_matches_per_task_loop_for_every_baseline() {
+    // The baselines run on the batched core through the trait's
+    // default `release_batch`/`select_batch`; each must see exactly the
+    // per-task call sequence, including the time-aware ones (ECT and
+    // backfill read `now`) and the order-sensitive fixed allocations.
+    let cases: &[(&str, u32)] = &[
+        ("layered", 8),
+        ("fft", 4),
+        ("cholesky", 5),
+        ("chain", 10),
+        ("independent", 16),
+        ("fork-join", 4),
+        ("in-tree", 4),
+        ("out-tree", 4),
+        ("random", 24),
+        ("lu", 4),
+        ("wavefront", 5),
+    ];
+    for &(shape, size) in cases {
+        for seed in [3u64, 19] {
+            for class in [
+                ModelClass::Roofline,
+                ModelClass::Amdahl,
+                ModelClass::General,
+            ] {
+                let p = 16;
+                let g = gen::by_name(shape, size, class, p, seed).unwrap();
+                for (name, mk) in baselines_for(&g, p, class) {
+                    differential(
+                        &g,
+                        p,
+                        &*mk,
+                        &format!("{name}: {shape}/{size} seed={seed} {class:?}"),
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn batched_core_matches_per_task_loop_on_turek_allocations() {
+    // Turek's dual approximation is for independent tasks; its fixed
+    // allocations drive a list scheduler like CPA's.
+    for seed in [1u64, 2, 3] {
+        for class in [ModelClass::Communication, ModelClass::General] {
+            let p = 20;
+            let g = gen::by_name("independent", 30, class, p, seed).unwrap();
+            let allocs = turek_schedule(&g, p).allocations;
+            differential(
+                &g,
+                p,
+                &|| Box::new(FixedAllocScheduler::new(allocs.clone())),
+                &format!("turek seed={seed} {class:?}"),
+            );
+        }
+    }
+}
+
+/// The four ways a scheduler can break the engine contract.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Fault {
+    Oversubscribe,
+    Restart,
+    Unknown,
+    ZeroProcs,
+    Refuse,
+}
+
+/// FIFO on one processor per task that breaks the contract on the
+/// first `select` call from the `at`-th on that has a processor free
+/// and two tasks waiting — after a legitimate first pick in the same
+/// batch, so the error lands mid-batch, mid-run.
+struct Faulty {
+    fault: Fault,
+    at: usize,
+    calls: usize,
+    queue: std::collections::VecDeque<TaskId>,
+    started: Vec<TaskId>,
+}
+
+impl Faulty {
+    fn new(fault: Fault, at: usize) -> Self {
+        Self {
+            fault,
+            at,
+            calls: 0,
+            queue: std::collections::VecDeque::new(),
+            started: Vec::new(),
+        }
+    }
+}
+
+impl Scheduler for Faulty {
+    fn release(&mut self, task: TaskId, _m: &SpeedupModel) {
+        self.queue.push_back(task);
+    }
+
+    fn select(&mut self, _now: f64, free: u32) -> Vec<(TaskId, u32)> {
+        self.calls += 1;
+        if self.fault == Fault::Refuse && self.calls >= self.at {
+            return Vec::new();
+        }
+        let mut out = Vec::new();
+        let mut free = free;
+        if self.calls >= self.at && free >= 1 && self.queue.len() >= 2 {
+            let t = self.queue.pop_front().expect("two waiting");
+            out.push((t, 1));
+            self.started.push(t);
+            free -= 1;
+            let next = self.queue[0];
+            out.push(match self.fault {
+                Fault::Oversubscribe => (next, free + 1),
+                Fault::Restart => (self.started[0], 1),
+                Fault::Unknown => (TaskId(u32::MAX - 1), 1),
+                Fault::ZeroProcs => (next, 0),
+                Fault::Refuse => unreachable!("handled above"),
+            });
+            return out;
+        }
+        while free >= 1 {
+            let Some(t) = self.queue.pop_front() else {
+                break;
+            };
+            out.push((t, 1));
+            self.started.push(t);
+            free -= 1;
+        }
+        out
+    }
+}
+
+#[test]
+fn faulty_schedulers_get_identical_errors() {
+    let g = gen::by_name("layered", 8, ModelClass::Amdahl, 4, 5).unwrap();
+    let p = 4;
+    for fault in [
+        Fault::Oversubscribe,
+        Fault::Restart,
+        Fault::Unknown,
+        Fault::ZeroProcs,
+        Fault::Refuse,
+    ] {
+        for at in [1usize, 2, 7, 20] {
+            let ctx = format!("{fault:?} at select #{at}");
+            let err =
+                same_result(&g, p, &|| Box::new(Faulty::new(fault, at)), &ctx).expect_err(&ctx);
+            let expected = match (fault, &err) {
+                (Fault::Oversubscribe, SimError::Oversubscribed { want, free, .. }) => {
+                    want == &(free + 1)
+                }
+                (Fault::Restart | Fault::Unknown, SimError::NotAvailable(_))
+                | (Fault::ZeroProcs, SimError::ZeroProcs(_)) => true,
+                (Fault::Refuse, SimError::Stuck { completed, .. }) => at == 1 || *completed > 0,
+                _ => false,
+            };
+            assert!(expected, "{ctx}: unexpected error {err:?}");
+        }
+    }
 }

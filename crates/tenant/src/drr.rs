@@ -55,7 +55,9 @@ struct Slot {
 /// Deficit-round-robin moldable scheduler over session slots.
 pub struct DrrScheduler {
     /// One warm cache per registered algorithm, indexed in `ALGOS`
-    /// order; a task allocates through its DAG's algorithm.
+    /// order; a task allocates through its DAG's algorithm. The caches
+    /// live as long as the session service but stay bounded: each
+    /// stops interning while its models prove (almost) all distinct.
     caches: Vec<AllocCache>,
     p_total: u32,
     /// Global task id → owning slot; appended by
