@@ -724,8 +724,11 @@ fn handle_submit(req: SubmitRequest, shared: &Shared, home: usize) -> Vec<u8> {
     }
     ServerStats::bump(&shared.stats.accepted);
     let timeout = shared.hooks.skewed(shared.config.request_timeout);
+    let deadline = Instant::now() + timeout;
     match rx.recv_timeout(timeout) {
-        Ok(json) => {
+        // A reply that lands at or after the deadline is a timeout, as
+        // in the event loop's `settle`.
+        Ok(json) if Instant::now() < deadline => {
             let ok = json.get("status").and_then(Json::as_str) == Some("ok");
             ServerStats::bump(if ok {
                 &shared.stats.submit_ok
@@ -734,7 +737,7 @@ fn handle_submit(req: SubmitRequest, shared: &Shared, home: usize) -> Vec<u8> {
             });
             json.encode().into_bytes()
         }
-        Err(_) => {
+        _ => {
             ServerStats::bump(&shared.stats.timeouts);
             ServerStats::bump(&shared.stats.submit_errors);
             proto::error_reply("request timed out")
@@ -776,9 +779,10 @@ fn handle_batch(items: Vec<Vec<u8>>, shared: &Shared, home: usize) -> Vec<u8> {
         return proto::overloaded_reply();
     }
     let timeout = shared.hooks.skewed(shared.config.request_timeout);
+    let deadline = Instant::now() + timeout;
     match rx.recv_timeout(timeout) {
-        Ok(json) => json.encode().into_bytes(),
-        Err(_) => {
+        Ok(json) if Instant::now() < deadline => json.encode().into_bytes(),
+        _ => {
             ServerStats::bump(&shared.stats.timeouts);
             proto::error_reply("request timed out")
         }
@@ -1376,11 +1380,19 @@ mod event_loop {
 
         /// A worker completion arrived. A token no longer pending
         /// already timed out — the late reply is dropped, exactly like
-        /// the gone `mpsc` receiver in the threads transport.
+        /// the gone `mpsc` receiver in the threads transport. A token
+        /// whose deadline passed before this loop turn got to it is
+        /// answered as the timeout `expire` would give it: settling
+        /// runs first, and a fast worker must not beat a deadline that
+        /// already fired.
         fn settle(&mut self, done: Completion) {
             let Some(p) = self.pending.remove(&done.token) else {
                 return;
             };
+            if Instant::now() >= p.deadline {
+                self.time_out(&p);
+                return;
+            }
             if !p.is_batch {
                 let ok = done.reply.get("status").and_then(Json::as_str) == Some("ok");
                 ServerStats::bump(if ok {
@@ -1404,15 +1416,19 @@ mod event_loop {
                 .map(|(&t, _)| t)
                 .collect();
             for token in expired {
-                let Some(p) = self.pending.remove(&token) else {
-                    continue;
-                };
-                ServerStats::bump(&self.shared.stats.timeouts);
-                if !p.is_batch {
-                    ServerStats::bump(&self.shared.stats.submit_errors);
+                if let Some(p) = self.pending.remove(&token) {
+                    self.time_out(&p);
                 }
-                self.finish(p.conn, &proto::error_reply("request timed out"));
             }
+        }
+
+        /// Answer a pending request with the timeout reply.
+        fn time_out(&mut self, p: &Pending) {
+            ServerStats::bump(&self.shared.stats.timeouts);
+            if !p.is_batch {
+                ServerStats::bump(&self.shared.stats.submit_errors);
+            }
+            self.finish(p.conn, &proto::error_reply("request timed out"));
         }
 
         /// Deliver a submit/batch outcome: write the reply, clear the

@@ -1,0 +1,148 @@
+//! The resumable [`Stepper`] against the per-task reference loop in
+//! `support/per_task.rs`, and the one error every entry point must
+//! agree on.
+
+mod support;
+
+use moldable_graph::{gen, TaskId};
+use moldable_model::{ModelClass, SpeedupModel};
+use moldable_sim::{
+    simulate_instance, GraphInstance, Instance, Scheduler, SimError, SimOptions, Stepper,
+    TimedArrivals,
+};
+use support::per_task;
+
+fn unit(w: f64) -> SpeedupModel {
+    SpeedupModel::amdahl(w, 0.0).unwrap()
+}
+
+/// Greedy FIFO on a fixed allocation.
+struct Fifo {
+    alloc: u32,
+    queue: std::collections::VecDeque<TaskId>,
+}
+
+impl Fifo {
+    fn new(alloc: u32) -> Self {
+        Self {
+            alloc,
+            queue: std::collections::VecDeque::new(),
+        }
+    }
+}
+
+impl Scheduler for Fifo {
+    fn release(&mut self, task: TaskId, _m: &SpeedupModel) {
+        self.queue.push_back(task);
+    }
+    fn select(&mut self, _now: f64, free: u32) -> Vec<(TaskId, u32)> {
+        let mut out = Vec::new();
+        let mut free = free;
+        while free >= self.alloc {
+            match self.queue.pop_front() {
+                Some(t) => {
+                    out.push((t, self.alloc));
+                    free -= self.alloc;
+                }
+                None => break,
+            }
+        }
+        out
+    }
+}
+
+#[test]
+fn stepper_matches_the_reference_loop_on_generated_graphs() {
+    for (shape, size, p) in [
+        ("cholesky", 8u32, 16u32),
+        ("layered", 10, 24),
+        ("fft", 5, 8),
+        ("fork-join", 40, 12),
+    ] {
+        let g = gen::by_name(shape, size, ModelClass::Amdahl, p, 7).unwrap();
+        let opts = SimOptions::new(p).with_proc_ids();
+        let reference =
+            per_task::simulate_instance(&mut GraphInstance::new(&g), &mut Fifo::new(2), &opts)
+                .unwrap();
+        let got = Stepper::new(GraphInstance::new(&g), Fifo::new(2), &opts)
+            .finish()
+            .unwrap();
+        assert_eq!(got, reference, "{shape}");
+    }
+}
+
+#[test]
+fn sliced_stepper_matches_the_reference_loop_on_timed_arrivals() {
+    let releases: Vec<(f64, SpeedupModel)> = (0..40)
+        .map(|i| (f64::from(i % 7) * 0.5, unit(1.0 + f64::from(i % 3))))
+        .collect();
+    let opts = SimOptions::new(4);
+    let reference = per_task::simulate_instance(
+        &mut TimedArrivals::new(releases.clone()),
+        &mut Fifo::new(1),
+        &opts,
+    )
+    .unwrap();
+    let mut st = Stepper::new(TimedArrivals::new(releases), Fifo::new(1), &opts);
+    let mut done = Vec::new();
+    let mut t = 0.0;
+    while done.len() < reference.placements.len() {
+        st.advance_until(t, &mut done).unwrap();
+        t += 0.37; // deliberately lands between event times
+        assert!(t < 1e6, "runaway");
+    }
+    assert_eq!(st.finish().unwrap(), reference);
+}
+
+/// Releases nothing at t = 0, has no timed arrival pending, and never
+/// reports done: a broken instance no scheduler can make progress on.
+struct Withholding(SpeedupModel);
+
+impl Instance for Withholding {
+    fn initial(&mut self) -> Vec<TaskId> {
+        Vec::new()
+    }
+    fn on_complete(&mut self, _task: TaskId, _time: f64) -> Vec<TaskId> {
+        Vec::new()
+    }
+    fn is_done(&self) -> bool {
+        false
+    }
+    fn model(&self, _task: TaskId) -> &SpeedupModel {
+        &self.0
+    }
+}
+
+#[test]
+fn a_withholding_instance_is_stuck_at_zero_on_every_entry_point() {
+    // The one-shot surface has always answered `Stuck` at t = 0 with
+    // nothing completed; the stepper answers the same, whether advanced
+    // or finished.
+    let stuck = SimError::Stuck {
+        time: 0.0,
+        completed: 0,
+    };
+    let opts = SimOptions::new(2);
+    let inst = || Withholding(unit(1.0));
+    assert_eq!(
+        per_task::simulate_instance(&mut inst(), &mut Fifo::new(1), &opts),
+        Err(stuck.clone()),
+        "reference loop"
+    );
+    assert_eq!(
+        simulate_instance(&mut inst(), &mut Fifo::new(1), &opts),
+        Err(stuck.clone()),
+        "simulate_instance"
+    );
+    let mut st = Stepper::new(inst(), Fifo::new(1), &opts);
+    assert_eq!(
+        st.advance_until(1.0, &mut Vec::new()),
+        Err(stuck.clone()),
+        "Stepper::advance_until"
+    );
+    assert_eq!(
+        Stepper::new(inst(), Fifo::new(1), &opts).finish(),
+        Err(stuck),
+        "Stepper::finish"
+    );
+}
