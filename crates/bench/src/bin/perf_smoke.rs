@@ -7,21 +7,15 @@
 //! ```
 //!
 //! Workloads:
-//! * `layered_1m_{legacy,batched}` — a 1 000 × 1 000 layered random
-//!   DAG (10^6 mixed general-model tasks, geometric-skip construction)
-//!   under the online scheduler on P = 256, simulated once by the
-//!   per-task loop (`simulate_instance` on a `GraphInstance`) and once
-//!   by the batched core (`simulate`) — identical makespans, so the
-//!   ratio is loop overhead plus the memo: the per-task hook interns
-//!   every one of the 10^6 distinct models, the batched core's memo
-//!   stops interning while it does not pay (CI gates batched ≥ 2.5×
-//!   legacy);
-//! * `thm6_communication_p1601_{legacy,batched}` — the Theorem 6
-//!   adversarial instance at P = 1601 (~868 k near-identical tasks,
-//!   the allocation-memoization stress case), both loops;
+//! * `layered_1m_batched` — a 1 000 × 1 000 layered random DAG
+//!   (10^6 mixed general-model tasks, geometric-skip construction)
+//!   under the online scheduler on P = 256, through `simulate`;
+//! * `thm6_communication_p1601_batched` — the Theorem 6 adversarial
+//!   instance at P = 1601 (~868 k near-identical tasks, the
+//!   allocation-memoization stress case);
 //! * `thm9_adaptive_l4` — the Theorem 9 adaptive chain adversary at
-//!   ℓ = 4 (P = 524 288, instance revealed task by task; adaptive
-//!   instances are inherently per-task, so per-task loop only);
+//!   ℓ = 4 (P = 524 288, instance revealed task by task, through
+//!   `simulate_instance`);
 //! * `wide_50k_{indexed,reference}_queue` — 50 000 independent tasks
 //!   on P = 64, a deep-ready-queue stress run under the default indexed
 //!   queue and the reference sorted-`Vec` scan (identical makespans,
@@ -49,7 +43,7 @@ use moldable_graph::gen;
 use moldable_model::rng::StdRng;
 use moldable_model::sample::ParamDistribution;
 use moldable_model::ModelClass;
-use moldable_sim::{simulate, simulate_instance, GraphInstance, SimOptions};
+use moldable_sim::{simulate, simulate_instance, SimOptions};
 
 struct Measurement {
     name: &'static str,
@@ -72,56 +66,37 @@ impl Measurement {
     }
 }
 
-/// One graph, both loops: the legacy row (the per-task loop) carries
-/// the (one-time) build cost, the batched row (the core behind
-/// `simulate`) reuses the graph so its `build_secs` is 0 by
-/// construction — the CI gate compares `sim_secs` only.
-fn engine_pair(
-    legacy_name: &'static str,
-    batched_name: &'static str,
+/// One graph through the core; the row carries the graph's build cost.
+/// The makespan must be bit-equal to `pinned`, the per-task loop's
+/// makespan on the same graph before every entry point moved onto the
+/// one core.
+fn engine_row(
+    name: &'static str,
     g: &moldable_graph::TaskGraph,
     build_secs: f64,
     p_total: u32,
-    mk_sched: impl Fn() -> OnlineScheduler,
-) -> [Measurement; 2] {
-    let mut sched = mk_sched();
+    mut sched: OnlineScheduler,
+    pinned: u64,
+) -> Measurement {
     let t0 = Instant::now();
-    let legacy = simulate_instance(
-        &mut GraphInstance::new(g),
-        &mut sched,
-        &SimOptions::new(p_total),
-    )
-    .expect("simulates");
-    let legacy_secs = t0.elapsed().as_secs_f64();
-    assert_eq!(legacy.placements.len(), g.n_tasks());
-
-    let mut sched = mk_sched();
-    let t1 = Instant::now();
-    let batched = simulate(g, &mut sched, &SimOptions::new(p_total)).expect("simulates");
-    let batched_secs = t1.elapsed().as_secs_f64();
+    let s = simulate(g, &mut sched, &SimOptions::new(p_total)).expect("simulates");
+    let sim_secs = t0.elapsed().as_secs_f64();
+    assert_eq!(s.placements.len(), g.n_tasks());
     assert_eq!(
-        legacy.makespan, batched.makespan,
-        "{batched_name} diverged from {legacy_name}"
+        s.makespan.to_bits(),
+        pinned,
+        "{name} diverged from the per-task makespan"
     );
-    [
-        Measurement {
-            name: legacy_name,
-            n_tasks: g.n_tasks(),
-            build_secs,
-            sim_secs: legacy_secs,
-            makespan: legacy.makespan,
-        },
-        Measurement {
-            name: batched_name,
-            n_tasks: g.n_tasks(),
-            build_secs: 0.0,
-            sim_secs: batched_secs,
-            makespan: batched.makespan,
-        },
-    ]
+    Measurement {
+        name,
+        n_tasks: g.n_tasks(),
+        build_secs,
+        sim_secs,
+        makespan: s.makespan,
+    }
 }
 
-fn layered_1m() -> [Measurement; 2] {
+fn layered_1m() -> Measurement {
     let p_total = 256;
     let t0 = Instant::now();
     let dist = ParamDistribution::default();
@@ -132,28 +107,27 @@ fn layered_1m() -> [Measurement; 2] {
     // Bernoulli draw per candidate edge (10^9 draws at this size).
     let g = gen::layered_random_sparse(1_000, 1_000, 0.002, &mut srng, &mut assign);
     let build_secs = t0.elapsed().as_secs_f64();
-    engine_pair(
-        "layered_1m_legacy",
+    engine_row(
         "layered_1m_batched",
         &g,
         build_secs,
         p_total,
-        || OnlineScheduler::for_class(ModelClass::General),
+        OnlineScheduler::for_class(ModelClass::General),
+        0x4125_a0fb_161d_615f,
     )
 }
 
-fn thm6_communication() -> [Measurement; 2] {
+fn thm6_communication() -> Measurement {
     let t0 = Instant::now();
     let inst = communication::instance(1601);
     let build_secs = t0.elapsed().as_secs_f64();
-    let mu = inst.mu;
-    engine_pair(
-        "thm6_communication_p1601_legacy",
+    engine_row(
         "thm6_communication_p1601_batched",
         &inst.graph,
         build_secs,
         inst.p_total,
-        || OnlineScheduler::with_mu(mu),
+        OnlineScheduler::with_mu(inst.mu),
+        0x40c9_ef3c_11cb_9c1a,
     )
 }
 
@@ -434,7 +408,10 @@ fn serve_epoll(batch: usize) -> Measurement {
                     .get("makespan")
                     .and_then(Json::as_f64)
                     .expect("makespan"),
-                reply.get("n_tasks").and_then(Json::as_u64).expect("n_tasks"),
+                reply
+                    .get("n_tasks")
+                    .and_then(Json::as_u64)
+                    .expect("n_tasks"),
             )
         })
         .collect();
@@ -537,20 +514,21 @@ fn serve_epoll(batch: usize) -> Measurement {
 
 fn main() {
     println!("Engine throughput smoke test\n");
-    let mut runs = Vec::new();
-    runs.extend(layered_1m());
-    runs.extend(thm6_communication());
-    runs.push(thm9_adaptive());
-    runs.push(wide_50k(false));
-    runs.push(wide_50k(true));
-    runs.push(graph_build(false));
-    runs.push(graph_build(true));
-    runs.push(serve_direct());
-    runs.push(serve_service(true));
-    runs.push(serve_service(false));
-    runs.push(serve_tcp());
-    runs.push(serve_epoll(1));
-    runs.push(serve_epoll(32));
+    let runs = vec![
+        layered_1m(),
+        thm6_communication(),
+        thm9_adaptive(),
+        wide_50k(false),
+        wide_50k(true),
+        graph_build(false),
+        graph_build(true),
+        serve_direct(),
+        serve_service(true),
+        serve_service(false),
+        serve_tcp(),
+        serve_epoll(1),
+        serve_epoll(32),
+    ];
     let by_name = |name: &str| {
         runs.iter()
             .find(|m| m.name == name)

@@ -216,12 +216,6 @@ impl AllocCache {
         allocation
     }
 
-    /// [`AllocCache::allocate`] that always interns, whatever the hit
-    /// rate: the memo the per-task scheduler hooks have always used.
-    pub fn intern(&mut self, model: &SpeedupModel) -> Allocation {
-        self.lookup(model).0
-    }
-
     /// Map lookup, interning on a miss; `true` on a hit.
     fn lookup(&mut self, model: &SpeedupModel) -> (Allocation, bool) {
         self.probes += 1;
@@ -414,16 +408,6 @@ mod tests {
         }
         assert_eq!(cache.hits() - hits_before, 10_000 - 8);
         assert_eq!(cache.len(), 8);
-    }
-
-    #[test]
-    fn intern_ignores_the_hit_rate() {
-        let mut cache = AllocCache::new(64, 0.3);
-        for w in 1..=5_000 {
-            let m = SpeedupModel::amdahl(f64::from(w), 0.5).unwrap();
-            assert_eq!(cache.intern(&m), allocate(&m, 64, 0.3));
-        }
-        assert_eq!(cache.len(), 5_000);
     }
 
     #[test]

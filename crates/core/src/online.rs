@@ -2,9 +2,9 @@
 
 use std::collections::HashMap;
 
-use moldable_graph::{TaskGraph, TaskId};
+use moldable_graph::TaskId;
 use moldable_model::{ModelClass, SpeedupModel};
-use moldable_sim::Scheduler;
+use moldable_sim::{Instance, Scheduler};
 
 use crate::memo::AllocCache;
 use crate::ready_queue::{IndexedQueue, LinearQueue, ReadyItem, ReadyQueue};
@@ -257,13 +257,13 @@ impl OnlineScheduler {
     }
 }
 
-/// Both drivers share the queue and the memo; the batched hooks add
-/// three savings the per-task hooks do not, with release order, queue
-/// keys and start decisions unchanged (the differential suite in
-/// `moldable-sim/tests/batched_engine_equivalence.rs` pins this):
+/// Both hooks share the queue and the bounded memo
+/// ([`AllocCache::allocate`], which stops interning while the models
+/// prove all distinct); the batched hooks the simulation core calls add
+/// two savings, with release order, queue keys and start decisions
+/// unchanged (the golden and differential suites in
+/// `moldable-sim/tests/` pin this):
 ///
-/// * **Bounded memo.** Releases go through [`AllocCache::allocate`],
-///   which stops interning while the models prove all distinct.
 /// * **Weight-run grouping.** Tasks revealed by one event frequently
 ///   share a speedup model (chain bundles, adversarial phases, any
 ///   graph built from a few weight classes). Within a batch,
@@ -285,14 +285,7 @@ impl Scheduler for OnlineScheduler {
     }
 
     fn release(&mut self, task: TaskId, model: &SpeedupModel) {
-        // The per-task hook keeps the always-interning memo: the
-        // per-task loop is the baseline of the `layered_1m` speed gate
-        // in CI, and bounding its memo belongs with re-basing that gate
-        // (ROADMAP item 2).
-        let allocation = match self.cache.as_mut() {
-            Some(cache) => cache.intern(model),
-            None => self.algo.allocate(model, self.p_total, self.mu),
-        };
+        let allocation = self.allocate(model);
         self.enqueue(task, model, allocation);
     }
 
@@ -307,11 +300,11 @@ impl Scheduler for OnlineScheduler {
         out.extend(self.scratch.iter().map(|item| (item.task, item.alloc)));
     }
 
-    fn release_batch(&mut self, graph: &TaskGraph, _now: f64, tasks: &[TaskId]) {
+    fn release_batch(&mut self, instance: &dyn Instance, _now: f64, tasks: &[TaskId]) {
         // Last distinct model seen in this batch and its decision.
         let mut run: Option<(&SpeedupModel, Allocation)> = None;
         for &task in tasks {
-            let model = graph.model(task);
+            let model = instance.model(task);
             let allocation = match run {
                 Some((prev, allocation)) if prev.bitwise_eq(model) => allocation,
                 _ => {

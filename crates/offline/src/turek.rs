@@ -213,9 +213,9 @@ mod tests {
     }
 
     #[test]
-    fn widest_first_runs_identically_on_both_loops() {
-        // The batched core drives `WidestFirst` through the trait's
-        // default batch hooks; the per-task loop must agree bit for bit.
+    fn widest_first_runs_identically_through_both_entry_points() {
+        // The core drives `WidestFirst` through the trait's default
+        // batch hooks, from a graph or from a borrowed instance alike.
         for seed in 0..4 {
             let g = independent(40, ModelClass::Communication, 16, seed);
             let r = turek_schedule(&g, 16);

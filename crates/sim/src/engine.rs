@@ -1,15 +1,14 @@
-//! The scheduler and instance traits, and the per-task event loop
-//! ([`simulate_instance`]) that runs dynamic [`Instance`]s; static
-//! graphs take the batched core ([`crate::simulate`]).
+//! The scheduler and instance traits, and the two one-shot entry
+//! points: [`simulate`] for a static graph and [`simulate_instance`]
+//! for any [`Instance`]. Both run the core in [`crate::Stepper`] to
+//! completion.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt;
 
 use moldable_graph::{Frontier, TaskGraph, TaskId};
 use moldable_model::SpeedupModel;
 
-use crate::{Placement, ProcPool, Schedule};
+use crate::{Schedule, Stepper};
 
 /// An online scheduling policy, driven by the engine.
 ///
@@ -20,9 +19,9 @@ use crate::{Placement, ProcPool, Schedule};
 /// every decision point (time 0 and each completion) the engine calls
 /// [`Scheduler::select`] repeatedly until it returns an empty batch.
 ///
-/// The batched core ([`crate::simulate`]) drives the same contract
-/// through [`Scheduler::release_batch`] and [`Scheduler::select_batch`],
-/// whose defaults are built from the per-task hooks.
+/// The core drives that contract through [`Scheduler::release_batch`]
+/// and [`Scheduler::select_batch`], whose defaults are built from the
+/// per-task hooks.
 pub trait Scheduler {
     /// Called once before the simulation starts.
     fn init(&mut self, p_total: u32) {
@@ -49,22 +48,23 @@ pub trait Scheduler {
         out.extend(self.select(now, free));
     }
 
-    /// `tasks` became available at time `now`, in the order the
-    /// per-task loop releases them; the default calls
+    /// `tasks` became available by time `now` — the tasks revealed by
+    /// this instant's completions, in completion order, then its timed
+    /// arrivals — with their models in `instance`; the default calls
     /// [`Scheduler::release`] once per task.
-    fn release_batch(&mut self, graph: &TaskGraph, now: f64, tasks: &[TaskId]) {
+    fn release_batch(&mut self, instance: &dyn Instance, now: f64, tasks: &[TaskId]) {
         let _ = now;
         for &t in tasks {
-            self.release(t, graph.model(t));
+            self.release(t, instance.model(t));
         }
     }
 
-    /// [`Scheduler::select_into`] for the batched core, which can also
-    /// take each pick's duration: a scheduler that already holds
-    /// `model.time(procs)` for its picks appends it to `durs`, one per
-    /// pick in `out` order, bit-exactly. The core prices every pick
-    /// without one as `graph.model(task).time(procs)` once it has
-    /// validated the pick; the default appends none.
+    /// [`Scheduler::select_into`] that can also return each pick's
+    /// duration: a scheduler that already holds `model.time(procs)`
+    /// for its picks appends it to `durs`, one per pick in `out`
+    /// order, bit-exactly. The core prices every pick without one as
+    /// `instance.model(task).time(procs)` once it has validated the
+    /// pick; the default appends none.
     fn select_batch(
         &mut self,
         now: f64,
@@ -98,12 +98,13 @@ pub trait Instance {
     fn on_complete(&mut self, task: TaskId, time: f64) -> Vec<TaskId>;
 
     /// [`Instance::on_complete`], but appending the newly available
-    /// tasks to a caller-owned buffer. The engine clears and reuses one
-    /// scratch buffer across all completions, so instances overriding
-    /// this (like [`GraphInstance`]) make the completion path
-    /// allocation-free; the default delegates to
-    /// [`Instance::on_complete`]. The buffer arrives empty;
-    /// implementations must only append.
+    /// tasks to a caller-owned buffer. The engine reuses one scratch
+    /// buffer for all completions of an instant, so instances
+    /// overriding this (like [`GraphInstance`]) make the completion
+    /// path allocation-free; the default delegates to
+    /// [`Instance::on_complete`]. The buffer may already hold tasks
+    /// revealed earlier in the same instant; implementations must only
+    /// append.
     fn on_complete_into(&mut self, task: TaskId, time: f64, out: &mut Vec<TaskId>) {
         out.extend(self.on_complete(task, time));
     }
@@ -263,37 +264,93 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Status {
-    Available,
-    Running,
-    Done,
+/// Forwarding impl, so a borrowed scheduler (`&mut S`, or
+/// `&mut dyn Scheduler`) drives the core; every provided method is
+/// forwarded, so overrides are kept.
+impl<S: Scheduler + ?Sized> Scheduler for &mut S {
+    fn init(&mut self, p_total: u32) {
+        (**self).init(p_total);
+    }
+
+    fn release(&mut self, task: TaskId, model: &SpeedupModel) {
+        (**self).release(task, model);
+    }
+
+    fn select(&mut self, now: f64, free: u32) -> Vec<(TaskId, u32)> {
+        (**self).select(now, free)
+    }
+
+    fn select_into(&mut self, now: f64, free: u32, out: &mut Vec<(TaskId, u32)>) {
+        (**self).select_into(now, free, out);
+    }
+
+    fn release_batch(&mut self, instance: &dyn Instance, now: f64, tasks: &[TaskId]) {
+        (**self).release_batch(instance, now, tasks);
+    }
+
+    fn select_batch(
+        &mut self,
+        now: f64,
+        free: u32,
+        out: &mut Vec<(TaskId, u32)>,
+        durs: &mut Vec<f64>,
+    ) {
+        (**self).select_batch(now, free, out, durs);
+    }
 }
 
-/// Completion event: ordered by time then submission sequence.
-struct Event {
-    time: f64,
-    seq: u64,
-    placement_idx: usize,
+/// Forwarding impl, so a borrowed instance (`&mut I`, or
+/// `&mut dyn Instance`) drives the core; every provided method is
+/// forwarded, so overrides are kept.
+impl<I: Instance + ?Sized> Instance for &mut I {
+    fn initial(&mut self) -> Vec<TaskId> {
+        (**self).initial()
+    }
+
+    fn on_complete(&mut self, task: TaskId, time: f64) -> Vec<TaskId> {
+        (**self).on_complete(task, time)
+    }
+
+    fn on_complete_into(&mut self, task: TaskId, time: f64, out: &mut Vec<TaskId>) {
+        (**self).on_complete_into(task, time, out);
+    }
+
+    fn is_done(&self) -> bool {
+        (**self).is_done()
+    }
+
+    fn model(&self, task: TaskId) -> &SpeedupModel {
+        (**self).model(task)
+    }
+
+    fn size_hint(&self) -> usize {
+        (**self).size_hint()
+    }
+
+    fn next_arrival(&self) -> Option<f64> {
+        (**self).next_arrival()
+    }
+
+    fn arrivals(&mut self, time: f64) -> Vec<TaskId> {
+        (**self).arrivals(time)
+    }
 }
 
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.time
-            .total_cmp(&other.time)
-            .then(self.seq.cmp(&other.seq))
-    }
+/// Run a frozen [`TaskGraph`] to completion under `scheduler` on
+/// `opts.p_total` processors: [`simulate_instance`] on a
+/// [`GraphInstance`] of the graph.
+///
+/// # Errors
+///
+/// Returns a [`SimError`] if the scheduler oversubscribes, starts an
+/// unavailable task, starts on zero processors, or wedges the
+/// simulation — never masked.
+pub fn simulate(
+    graph: &TaskGraph,
+    scheduler: &mut dyn Scheduler,
+    opts: &SimOptions,
+) -> Result<Schedule, SimError> {
+    Stepper::new(GraphInstance::new(graph), scheduler, opts).finish()
 }
 
 /// Run an [`Instance`] (static or adaptive) to completion under
@@ -311,208 +368,20 @@ pub fn simulate_instance(
     scheduler: &mut dyn Scheduler,
     opts: &SimOptions,
 ) -> Result<Schedule, SimError> {
-    let p_total = opts.p_total;
-    scheduler.init(p_total);
-
-    // Pre-size per-task state from the instance's hint; `ensure` only
-    // grows (within reserved capacity for well-hinted instances).
-    let hint = instance.size_hint();
-    let mut status: Vec<Option<Status>> = Vec::with_capacity(hint);
-    let mut released_at: Vec<f64> = Vec::with_capacity(hint);
-    let ensure = |status: &mut Vec<Option<Status>>, released_at: &mut Vec<f64>, t: TaskId| {
-        let need = t.index() + 1;
-        if status.len() < need {
-            status.resize(need, None);
-            released_at.resize(need, 0.0);
-        }
-    };
-
-    let mut free = p_total;
-    let mut pool = opts.record_proc_ids.then(|| ProcPool::new(p_total));
-    let mut placements: Vec<Placement> = Vec::with_capacity(hint);
-    // At most one outstanding completion per busy processor.
-    let mut heap: BinaryHeap<Reverse<Event>> = BinaryHeap::with_capacity(p_total as usize);
-    let mut seq: u64 = 0;
-    let mut time = 0.0f64;
-    let mut completed = 0usize;
-
-    // Release the initial frontier.
-    for t in instance.initial() {
-        ensure(&mut status, &mut released_at, t);
-        scheduler.release(t, instance.model(t));
-        status[t.index()] = Some(Status::Available);
-        released_at[t.index()] = 0.0;
-    }
-
-    // Scratch buffers reused across every decision point and
-    // completion: the steady-state loop allocates nothing.
-    let mut picks: Vec<(TaskId, u32)> = Vec::new();
-    let mut newly: Vec<TaskId> = Vec::new();
-
-    // Decision loop: ask the scheduler until it passes.
-    macro_rules! decide {
-        () => {
-            loop {
-                picks.clear();
-                scheduler.select_into(time, free, &mut picks);
-                if picks.is_empty() {
-                    break;
-                }
-                for (t, p) in picks.drain(..) {
-                    if t.index() >= status.len() || status[t.index()] != Some(Status::Available) {
-                        return Err(SimError::NotAvailable(t));
-                    }
-                    if p == 0 {
-                        return Err(SimError::ZeroProcs(t));
-                    }
-                    if p > free {
-                        return Err(SimError::Oversubscribed {
-                            task: t,
-                            want: p,
-                            free,
-                        });
-                    }
-                    let dur = instance.model(t).time(p);
-                    let proc_ranges = match &mut pool {
-                        Some(pool) => pool.alloc(p).expect("pool tracks free count"),
-                        None => Vec::new(),
-                    };
-                    free -= p;
-                    status[t.index()] = Some(Status::Running);
-                    let placement_idx = placements.len();
-                    placements.push(Placement {
-                        task: t,
-                        start: time,
-                        end: time + dur,
-                        procs: p,
-                        proc_ranges,
-                        released: released_at[t.index()],
-                    });
-                    heap.push(Reverse(Event {
-                        time: time + dur,
-                        seq,
-                        placement_idx,
-                    }));
-                    seq += 1;
-                }
-            }
-        };
-    }
-
-    // Timed arrivals already due at time 0 (release dates ≤ 0).
-    macro_rules! drain_arrivals {
-        () => {
-            while let Some(a) = instance.next_arrival() {
-                if a > time {
-                    break;
-                }
-                for t in instance.arrivals(a) {
-                    ensure(&mut status, &mut released_at, t);
-                    scheduler.release(t, instance.model(t));
-                    status[t.index()] = Some(Status::Available);
-                    released_at[t.index()] = a;
-                }
-            }
-        };
-    }
-    drain_arrivals!();
-    decide!();
-
-    // Completion batch, reused across decision points.
-    let mut batch: Vec<usize> = Vec::new();
-    loop {
-        // Next event: a completion or a timed arrival, whichever first
-        // (completions processed before arrivals at equal times).
-        let next_completion = heap.peek().map(|Reverse(e)| e.time);
-        let next_arrival = instance.next_arrival();
-        let t_next = match (next_completion, next_arrival) {
-            (None, None) => break,
-            (Some(c), None) => c,
-            (None, Some(a)) => a,
-            (Some(c), Some(a)) => c.min(a),
-        };
-        time = t_next;
-        // Gather all completions at exactly this time (in seq order —
-        // BinaryHeap pops them in (time, seq) order).
-        batch.clear();
-        while let Some(Reverse(peek)) = heap.peek() {
-            if peek.time == time {
-                let Reverse(ev) = heap.pop().expect("peeked");
-                batch.push(ev.placement_idx);
-            } else {
-                break;
-            }
-        }
-        // 1) free the processors of every completion in the batch
-        for &idx in &batch {
-            let pl = &placements[idx];
-            free += pl.procs;
-            if let Some(pool) = &mut pool {
-                pool.release(&pl.proc_ranges);
-            }
-            status[pl.task.index()] = Some(Status::Done);
-            completed += 1;
-        }
-        // 2) reveal the consequences, in completion order
-        for &idx in &batch {
-            let task = placements[idx].task;
-            newly.clear();
-            instance.on_complete_into(task, time, &mut newly);
-            for &t in &newly {
-                ensure(&mut status, &mut released_at, t);
-                scheduler.release(t, instance.model(t));
-                status[t.index()] = Some(Status::Available);
-                released_at[t.index()] = time;
-            }
-        }
-        // 3) timed arrivals due now
-        drain_arrivals!();
-        // 4) new decision point
-        decide!();
-
-        if heap.is_empty() && instance.next_arrival().is_none() && !instance.is_done() {
-            // Nothing running, nothing arriving, instance incomplete:
-            // the scheduler refused available work (or the instance is
-            // inconsistent).
-            let any_available = status.contains(&Some(Status::Available));
-            return Err(if any_available {
-                SimError::Stuck { time, completed }
-            } else {
-                SimError::InconsistentInstance
-            });
-        }
-    }
-
-    if !instance.is_done() && completed > 0 {
-        return Err(SimError::InconsistentInstance);
-    }
-    if completed == 0 && !instance.is_done() {
-        // Nothing ever ran (e.g. scheduler refused the initial frontier).
-        return Err(SimError::Stuck {
-            time: 0.0,
-            completed: 0,
-        });
-    }
-
-    Ok(Schedule {
-        p_total,
-        placements,
-        makespan: time,
-    })
+    Stepper::new(instance, scheduler, opts).finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simulate;
     use moldable_graph::GraphBuilder;
 
     fn unit(w: f64) -> SpeedupModel {
         SpeedupModel::amdahl(w, 0.0).unwrap()
     }
 
-    /// Run `g` through the batched core and the per-task loop, each
-    /// with a fresh scheduler from `mk`; demand identical results.
+    /// Run `g` through both entry points, each with a fresh scheduler
+    /// from `mk`; demand identical results.
     fn both<S: Scheduler>(
         g: &TaskGraph,
         mk: impl Fn() -> S,
@@ -520,7 +389,7 @@ mod tests {
     ) -> Result<Schedule, SimError> {
         let fast = simulate(g, &mut mk(), opts);
         let slow = simulate_instance(&mut GraphInstance::new(g), &mut mk(), opts);
-        assert_eq!(fast, slow, "batched core and per-task loop disagree");
+        assert_eq!(fast, slow, "simulate and simulate_instance disagree");
         fast
     }
 
@@ -737,5 +606,74 @@ mod tests {
         let g = g.freeze();
         let s = both(&g, || Fifo::new(1), &SimOptions::new(4)).unwrap();
         assert!((s.utilization() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn borrowed_schedulers_and_instances_keep_their_overrides() {
+        /// FIFO whose batched hooks count their calls; the per-task
+        /// `release` must never run.
+        #[derive(Default)]
+        struct Batched {
+            fifo: std::collections::VecDeque<TaskId>,
+            batches: usize,
+            selects: usize,
+        }
+        impl Scheduler for Batched {
+            fn release(&mut self, _t: TaskId, _m: &SpeedupModel) {
+                unreachable!("release_batch is overridden");
+            }
+            fn select(&mut self, _now: f64, _free: u32) -> Vec<(TaskId, u32)> {
+                unreachable!("select_batch is overridden");
+            }
+            fn release_batch(&mut self, _inst: &dyn Instance, _now: f64, tasks: &[TaskId]) {
+                self.batches += 1;
+                self.fifo.extend(tasks);
+            }
+            fn select_batch(
+                &mut self,
+                _now: f64,
+                free: u32,
+                out: &mut Vec<(TaskId, u32)>,
+                _durs: &mut Vec<f64>,
+            ) {
+                self.selects += 1;
+                let take = (free as usize).min(self.fifo.len());
+                out.extend(self.fifo.drain(..take).map(|t| (t, 1)));
+            }
+        }
+        /// A graph whose allocating `on_complete` must never run.
+        struct IntoOnly<'a>(GraphInstance<'a>);
+        impl Instance for IntoOnly<'_> {
+            fn initial(&mut self) -> Vec<TaskId> {
+                self.0.initial()
+            }
+            fn on_complete(&mut self, _t: TaskId, _time: f64) -> Vec<TaskId> {
+                unreachable!("on_complete_into is overridden");
+            }
+            fn on_complete_into(&mut self, t: TaskId, time: f64, out: &mut Vec<TaskId>) {
+                self.0.on_complete_into(t, time, out);
+            }
+            fn is_done(&self) -> bool {
+                self.0.is_done()
+            }
+            fn model(&self, t: TaskId) -> &SpeedupModel {
+                self.0.model(t)
+            }
+        }
+        let mut g = GraphBuilder::new();
+        let a = g.add_task(unit(1.0));
+        let b = g.add_task(unit(1.0));
+        g.add_edge(a, b).unwrap();
+        let g = g.freeze();
+        let opts = SimOptions::new(2);
+        let mut sched = Batched::default();
+        let s = simulate(&g, &mut sched, &opts).unwrap();
+        assert_eq!(s.makespan, 2.0);
+        assert_eq!((sched.batches, sched.selects), (2, 5));
+        let mut sched = Batched::default();
+        let mut inst = IntoOnly(GraphInstance::new(&g));
+        let t = simulate_instance(&mut inst, &mut sched, &opts).unwrap();
+        assert_eq!(t, s);
+        assert_eq!((sched.batches, sched.selects), (2, 5));
     }
 }

@@ -12,13 +12,21 @@
 //! asks the scheduler which available tasks to start whenever
 //! processors free up. The engine never leaks unrevealed structure.
 //!
-//! A static [`moldable_graph::TaskGraph`] runs through [`simulate`], a
-//! batched struct-of-arrays core that serves every scheduler. For
-//! adaptive lower bounds (the paper's Section 5 adversary decides the
-//! graph *in response to* the algorithm's behaviour), arrivals and
-//! failures, [`simulate_instance`] runs the more general [`Instance`]
-//! trait one task at a time; both produce bit-identical schedules on
-//! a static graph.
+//! One event loop, the resumable batched core in [`Stepper`], serves
+//! every scheduler and every source of tasks, through three entry
+//! points:
+//!
+//! * [`simulate`] runs a static [`moldable_graph::TaskGraph`] to
+//!   completion;
+//! * [`simulate_instance`] runs any [`Instance`] to completion —
+//!   adaptive lower bounds (the paper's Section 5 adversary decides the
+//!   graph *in response to* the algorithm's behaviour), arrivals and
+//!   failures;
+//! * [`Stepper`] advances an owned instance to a time horizon, slice by
+//!   slice, for services that feed work in as they go.
+//!
+//! A static graph is just the [`GraphInstance`] implementation of the
+//! reveal hook, so all three produce bit-identical schedules on it.
 //!
 //! # Example
 //!
@@ -54,7 +62,6 @@
 #![forbid(unsafe_code)]
 
 mod arrivals;
-mod batched;
 mod engine;
 mod gantt;
 mod procmap;
@@ -66,10 +73,11 @@ mod trace;
 mod validate;
 
 pub use arrivals::TimedArrivals;
-pub use batched::simulate;
 /// Former name of [`simulate`], kept for existing callers.
-pub use batched::simulate as simulate_batched;
-pub use engine::{simulate_instance, GraphInstance, Instance, Scheduler, SimError, SimOptions};
+pub use engine::simulate as simulate_batched;
+pub use engine::{
+    simulate, simulate_instance, GraphInstance, Instance, Scheduler, SimError, SimOptions,
+};
 pub use gantt::gantt_ascii;
 pub use procmap::ProcPool;
 pub use profile::{interval_profile, IntervalProfile};

@@ -1,14 +1,16 @@
 //! Arrival-order tie-breaks pinned bit-identically across engines.
 //!
-//! A batch of tasks sharing one release instant can be expressed three
-//! ways: as a [`TimedArrivals`] stream driven by the per-task loop,
-//! as an independent-tasks graph driven by the per-task loop, and as
-//! the same graph driven by the batched core. All three must place
-//! every task with bit-equal `(start, end, procs, released)` — the
-//! revelation order for simultaneous arrivals (submission order) and
-//! the completion tie-break (start sequence) are part of the engine
-//! contract, not an accident of implementation. The incremental
-//! [`Stepper`] joins the pin as a fourth expression of the same run.
+//! A batch of tasks sharing one release instant can be expressed two
+//! ways: as a [`TimedArrivals`] stream and as an independent-tasks
+//! graph. Through the per-task reference loop (`support/per_task.rs`)
+//! and through every entry point of the core — [`simulate_instance`],
+//! [`simulate`] and the incremental [`Stepper`] — all must place every
+//! task with bit-equal `(start, end, procs, released)`: the revelation
+//! order for simultaneous arrivals (submission order) and the
+//! completion tie-break (start sequence) are part of the engine
+//! contract, not an accident of implementation.
+
+mod support;
 
 use moldable_graph::{GraphBuilder, TaskId};
 use moldable_model::SpeedupModel;
@@ -16,6 +18,7 @@ use moldable_sim::{
     simulate, simulate_instance, GraphInstance, Placement, Scheduler, SimOptions, Stepper,
     TimedArrivals,
 };
+use support::per_task;
 
 fn unit(w: f64) -> SpeedupModel {
     SpeedupModel::amdahl(w, 0.0).unwrap()
@@ -60,14 +63,22 @@ fn tie_heavy_works(n: u32) -> Vec<f64> {
 }
 
 #[test]
-fn arrival_tie_breaks_agree_across_legacy_batched_and_stepper() {
+fn arrival_tie_breaks_agree_across_reference_and_every_entry_point() {
     let n = 64;
     let p = 6;
     let works = tie_heavy_works(n);
     let opts = SimOptions::new(p);
 
-    // 1) TimedArrivals: all release dates equal (t = 0).
+    // 1) TimedArrivals: all release dates equal (t = 0), reference loop.
     let releases: Vec<(f64, SpeedupModel)> = works.iter().map(|&w| (0.0, unit(w))).collect();
+    let via_reference = per_task::simulate_instance(
+        &mut TimedArrivals::new(releases.clone()),
+        &mut Fifo::default(),
+        &opts,
+    )
+    .unwrap();
+
+    // 2) The same stream through the core.
     let via_arrivals = simulate_instance(
         &mut TimedArrivals::new(releases.clone()),
         &mut Fifo::default(),
@@ -75,7 +86,7 @@ fn arrival_tie_breaks_agree_across_legacy_batched_and_stepper() {
     )
     .unwrap();
 
-    // 2) The equivalent independent-tasks graph, per-task loop.
+    // 3) The equivalent independent-tasks graph, both one-shot doors.
     let mut b = GraphBuilder::new();
     for &w in &works {
         b.add_task(unit(w));
@@ -83,31 +94,27 @@ fn arrival_tie_breaks_agree_across_legacy_batched_and_stepper() {
     let graph = b.freeze();
     let via_graph =
         simulate_instance(&mut GraphInstance::new(&graph), &mut Fifo::default(), &opts).unwrap();
-
-    // 3) Same graph, batched core.
-    let via_batched = simulate(&graph, &mut Fifo::default(), &opts).unwrap();
+    let via_simulate = simulate(&graph, &mut Fifo::default(), &opts).unwrap();
 
     // 4) TimedArrivals again, incremental stepper.
     let via_stepper = Stepper::new(TimedArrivals::new(releases), Fifo::default(), &opts)
         .finish()
         .unwrap();
 
-    let reference = fingerprint(&via_arrivals.placements);
-    assert_eq!(
-        fingerprint(&via_graph.placements),
-        reference,
-        "graph/per-task"
-    );
-    assert_eq!(fingerprint(&via_batched.placements), reference, "batched");
-    assert_eq!(fingerprint(&via_stepper.placements), reference, "stepper");
-    assert_eq!(
-        via_arrivals.makespan.to_bits(),
-        via_batched.makespan.to_bits()
-    );
-    assert_eq!(
-        via_arrivals.makespan.to_bits(),
-        via_stepper.makespan.to_bits()
-    );
+    let reference = fingerprint(&via_reference.placements);
+    for (name, s) in [
+        ("arrivals", &via_arrivals),
+        ("graph", &via_graph),
+        ("simulate", &via_simulate),
+        ("stepper", &via_stepper),
+    ] {
+        assert_eq!(fingerprint(&s.placements), reference, "{name}");
+        assert_eq!(
+            s.makespan.to_bits(),
+            via_reference.makespan.to_bits(),
+            "{name}"
+        );
+    }
 }
 
 #[test]
@@ -122,7 +129,7 @@ fn staggered_zero_gap_bursts_agree_between_engine_and_stepper() {
         }
     }
     let opts = SimOptions::new(3);
-    let reference = simulate_instance(
+    let reference = per_task::simulate_instance(
         &mut TimedArrivals::new(releases.clone()),
         &mut Fifo::default(),
         &opts,

@@ -3,15 +3,21 @@
 //! post-processing utilities (processor-id assignment, utilization
 //! profile, trace export) are consistent with it.
 //!
+//! The erratic scheduler's runs are also held bit-identical to the
+//! per-task reference loop in `support/per_task.rs`.
+//!
 //! Gated behind the non-default `slow-tests` feature: each test sweeps
 //! many random DAGs, which is too slow for the tier-1 suite.
 
 #![cfg(feature = "slow-tests")]
 
+mod support;
+
 use moldable_graph::{gen, TaskGraph, TaskId};
 use moldable_model::rng::{Rng, StdRng};
 use moldable_model::SpeedupModel;
-use moldable_sim::{interval_profile, simulate, Scheduler, SimOptions};
+use moldable_sim::{interval_profile, simulate, GraphInstance, Scheduler, SimOptions};
+use support::per_task;
 
 /// A deliberately erratic (but legal) scheduler: starts random subsets
 /// of the queue with random feasible allocations.
@@ -85,6 +91,13 @@ fn engine_output_is_always_feasible() {
         let mut sched = ChaoticScheduler::new(seed ^ 0xC0FFEE);
         let opts = SimOptions::new(p_total);
         let mut s = simulate(&g, &mut sched, &opts).unwrap();
+        let reference = per_task::simulate_instance(
+            &mut GraphInstance::new(&g),
+            &mut ChaoticScheduler::new(seed ^ 0xC0FFEE),
+            &opts,
+        )
+        .unwrap();
+        assert_eq!(s, reference, "case {case}: core vs reference loop");
         s.validate(&g).unwrap();
         s.assign_proc_ids().unwrap();
         // every placement got exactly `procs` processor ids
@@ -140,10 +153,17 @@ fn timed_arrivals_respect_release_dates() {
                 (r, SpeedupModel::amdahl(w, 0.1).unwrap())
             })
             .collect();
-        let mut inst = TimedArrivals::new(releases);
+        let mut inst = TimedArrivals::new(releases.clone());
         let dates: Vec<f64> = (0..n).map(|i| inst.release_date(i)).collect();
         let mut sched = ChaoticScheduler::new(seed ^ 3);
         let s = simulate_instance(&mut inst, &mut sched, &SimOptions::new(4)).unwrap();
+        let reference = per_task::simulate_instance(
+            &mut TimedArrivals::new(releases),
+            &mut ChaoticScheduler::new(seed ^ 3),
+            &SimOptions::new(4),
+        )
+        .unwrap();
+        assert_eq!(s, reference, "case {case}: core vs reference loop");
         assert_eq!(s.placements.len(), n);
         for pl in &s.placements {
             assert!(
