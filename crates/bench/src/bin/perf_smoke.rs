@@ -7,19 +7,17 @@
 //! ```
 //!
 //! Workloads:
-//! * `layered_1m_batched` — a 1 000 × 1 000 layered random DAG
+//! * `layered_1m` — a 1 000 × 1 000 layered random DAG
 //!   (10^6 mixed general-model tasks, geometric-skip construction)
 //!   under the online scheduler on P = 256, through `simulate`;
-//! * `thm6_communication_p1601_batched` — the Theorem 6 adversarial
+//! * `thm6_communication_p1601` — the Theorem 6 adversarial
 //!   instance at P = 1601 (~868 k near-identical tasks, the
 //!   allocation-memoization stress case);
 //! * `thm9_adaptive_l4` — the Theorem 9 adaptive chain adversary at
 //!   ℓ = 4 (P = 524 288, instance revealed task by task, through
 //!   `simulate_instance`);
-//! * `wide_50k_{indexed,reference}_queue` — 50 000 independent tasks
-//!   on P = 64, a deep-ready-queue stress run under the default indexed
-//!   queue and the reference sorted-`Vec` scan (identical makespans,
-//!   different clocks);
+//! * `wide_50k` — 50 000 independent tasks on P = 64, a
+//!   deep-ready-queue stress run;
 //! * `serve_{direct,service,tcp}_500` — the same 500 scheduling
 //!   requests (cholesky size 6, P = 64, 16 seeds) executed three ways:
 //!   bare generate+simulate, through the service layer
@@ -67,9 +65,10 @@ impl Measurement {
 }
 
 /// One graph through the core; the row carries the graph's build cost.
-/// The makespan must be bit-equal to `pinned`, the per-task loop's
-/// makespan on the same graph before every entry point moved onto the
-/// one core.
+/// The makespan must be bit-equal to `pinned`, recorded on the same
+/// graph from an earlier implementation: the per-task loop, before
+/// every entry point moved onto the one core, or the ready queue before
+/// it was bucketed by allocation.
 fn engine_row(
     name: &'static str,
     g: &moldable_graph::TaskGraph,
@@ -108,7 +107,7 @@ fn layered_1m() -> Measurement {
     let g = gen::layered_random_sparse(1_000, 1_000, 0.002, &mut srng, &mut assign);
     let build_secs = t0.elapsed().as_secs_f64();
     engine_row(
-        "layered_1m_batched",
+        "layered_1m",
         &g,
         build_secs,
         p_total,
@@ -122,7 +121,7 @@ fn thm6_communication() -> Measurement {
     let inst = communication::instance(1601);
     let build_secs = t0.elapsed().as_secs_f64();
     engine_row(
-        "thm6_communication_p1601_batched",
+        "thm6_communication_p1601",
         &inst.graph,
         build_secs,
         inst.p_total,
@@ -152,9 +151,8 @@ fn thm9_adaptive() -> Measurement {
 }
 
 /// 50 000 independent tasks on P = 64: the ready queue holds tens of
-/// thousands of waiting tasks, the regime where the indexed queue's
-/// O(log n) operations separate from the reference scan's O(n).
-fn wide_50k(reference: bool) -> Measurement {
+/// thousands of waiting tasks.
+fn wide_50k() -> Measurement {
     let p_total = 64;
     let t0 = Instant::now();
     let dist = ParamDistribution::default();
@@ -162,26 +160,14 @@ fn wide_50k(reference: bool) -> Measurement {
     let mut assign = gen::weighted_sampler(ModelClass::General, dist, p_total, &mut mrng);
     let g = gen::independent(50_000, &mut assign);
     let build_secs = t0.elapsed().as_secs_f64();
-
-    let mut sched = OnlineScheduler::for_class(ModelClass::General);
-    if reference {
-        sched = sched.with_reference_queue();
-    }
-    let t1 = Instant::now();
-    let s = simulate(&g, &mut sched, &SimOptions::new(p_total)).expect("simulates");
-    let sim_secs = t1.elapsed().as_secs_f64();
-    assert_eq!(s.placements.len(), g.n_tasks());
-    Measurement {
-        name: if reference {
-            "wide_50k_reference_queue"
-        } else {
-            "wide_50k_indexed_queue"
-        },
-        n_tasks: g.n_tasks(),
+    engine_row(
+        "wide_50k",
+        &g,
         build_secs,
-        sim_secs,
-        makespan: s.makespan,
-    }
+        p_total,
+        OnlineScheduler::for_class(ModelClass::General),
+        0x4100_31e5_7097_8e98,
+    )
 }
 
 /// Frozen-CSR construction: rebuild the largest generator instance CI
@@ -518,8 +504,7 @@ fn main() {
         layered_1m(),
         thm6_communication(),
         thm9_adaptive(),
-        wide_50k(false),
-        wide_50k(true),
+        wide_50k(),
         graph_build(false),
         graph_build(true),
         serve_direct(),
@@ -534,13 +519,6 @@ fn main() {
             .find(|m| m.name == name)
             .unwrap_or_else(|| panic!("no run named {name}"))
     };
-    // Same instance, same decisions: only the queue implementation
-    // (and therefore the wall clock) may differ between these.
-    assert_eq!(
-        by_name("wide_50k_indexed_queue").makespan,
-        by_name("wide_50k_reference_queue").makespan,
-        "queues must agree"
-    );
     // The serve paths execute identical request streams: the wire and
     // service layers — and the frozen-graph cache — must not change a
     // single scheduling decision.

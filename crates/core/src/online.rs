@@ -7,7 +7,7 @@ use moldable_model::{ModelClass, SpeedupModel};
 use moldable_sim::{Instance, Scheduler};
 
 use crate::memo::AllocCache;
-use crate::ready_queue::{IndexedQueue, LinearQueue, ReadyItem, ReadyQueue};
+use crate::ready_queue::{IndexedQueue, ReadyItem};
 use crate::registry::AlgoName;
 use crate::{Allocation, QueuePolicy};
 
@@ -22,13 +22,12 @@ use crate::{Allocation, QueuePolicy};
 /// classic list scheduling, which never idles `⌈μP⌉` processors while
 /// a task is waiting (the fact Lemma 4 rests on).
 ///
-/// The queue is an [`IndexedQueue`] (a treap tracking the minimum
-/// allocation per subtree): releasing a task costs O(log n) and a
-/// decision point that starts `k` tasks costs O((k+1) log n), instead
-/// of O(n) for both with the original sorted `Vec`. The original
-/// behaviour is kept as [`LinearQueue`] behind
-/// [`OnlineScheduler::with_reference_queue`]; differential tests prove
-/// the two produce identical schedules.
+/// The queue is an [`IndexedQueue`]: one bucket per capped allocation
+/// (at most `⌈μP⌉` of them) under a segment tree over allocation
+/// values, so first fit is a prefix minimum over the buckets that fit.
+/// Golden schedule fingerprints in `tests/goldens/queue.txt`, pinned
+/// from the original sorted-`Vec` scan under every [`QueuePolicy`],
+/// hold its start orders.
 ///
 /// `μ` is chosen per model class (Theorems 1–4) by
 /// [`OnlineScheduler::for_class`], or set explicitly with
@@ -42,7 +41,7 @@ pub struct OnlineScheduler {
     mu: f64,
     policy: QueuePolicy,
     p_total: u32,
-    queue: QueueKind,
+    queue: IndexedQueue,
     seq: u64,
     /// Memoized Algorithm 2, built at `init` once `P` is known.
     cache: Option<AllocCache>,
@@ -52,29 +51,6 @@ pub struct OnlineScheduler {
     decisions: Option<HashMap<TaskId, Allocation>>,
     /// Reused drain buffer for one decision point.
     scratch: Vec<ReadyItem>,
-}
-
-/// The two queue implementations behind one static dispatch point.
-#[derive(Debug)]
-enum QueueKind {
-    Indexed(IndexedQueue),
-    Linear(LinearQueue),
-}
-
-impl QueueKind {
-    fn push(&mut self, item: ReadyItem) {
-        match self {
-            Self::Indexed(q) => q.push(item),
-            Self::Linear(q) => q.push(item),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Self::Indexed(q) => q.len(),
-            Self::Linear(q) => q.len(),
-        }
-    }
 }
 
 impl OnlineScheduler {
@@ -121,7 +97,7 @@ impl OnlineScheduler {
             mu,
             policy: QueuePolicy::Fifo,
             p_total: 0,
-            queue: QueueKind::Indexed(IndexedQueue::new()),
+            queue: IndexedQueue::new(),
             seq: 0,
             cache: None,
             decisions: None,
@@ -134,18 +110,6 @@ impl OnlineScheduler {
     #[must_use]
     pub fn with_policy(mut self, policy: QueuePolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Use the linear-scan reference queue instead of the indexed one.
-    ///
-    /// Observable behaviour is identical (the differential tests in
-    /// `tests/queue_equivalence.rs` check exactly this); the reference
-    /// queue exists as the executable specification and for
-    /// before/after performance comparisons.
-    #[must_use]
-    pub fn with_reference_queue(mut self) -> Self {
-        self.queue = QueueKind::Linear(LinearQueue::new());
         self
     }
 
@@ -236,24 +200,12 @@ impl OnlineScheduler {
     }
 
     /// List scheduling (Algorithm 1, lines 7–11): drain into `scratch`
-    /// *every* waiting task that fits, in queue order. Popping first
-    /// fits until none remains is the same scan — free only shrinks,
-    /// so a skipped task stays infeasible for this decision point. The
-    /// indexed queue does it in one compacting pass
-    /// ([`IndexedQueue::pop_fits_into`]); the reference queue keeps the
-    /// specification's pop-per-item loop.
+    /// *every* waiting task that fits, in queue order
+    /// ([`IndexedQueue::pop_fits_into`]).
     fn drain_fits(&mut self, free: u32) {
         let mut free = free;
         self.scratch.clear();
-        match &mut self.queue {
-            QueueKind::Indexed(q) => q.pop_fits_into(&mut free, &mut self.scratch),
-            QueueKind::Linear(q) => {
-                while let Some(item) = q.pop_first_fit(free) {
-                    free -= item.alloc;
-                    self.scratch.push(item);
-                }
-            }
-        }
+        self.queue.pop_fits_into(&mut free, &mut self.scratch);
     }
 }
 
@@ -403,21 +355,6 @@ mod tests {
         for t in g.task_ids() {
             assert_eq!(s.decision(t), None);
         }
-    }
-
-    #[test]
-    fn reference_queue_produces_the_same_schedule() {
-        let mut rng = moldable_model::rng::StdRng::seed_from_u64(7);
-        let dist = moldable_model::sample::ParamDistribution::default();
-        let mut assign = gen::weighted_sampler(ModelClass::General, dist, 24, &mut rng);
-        let mut srng = moldable_model::rng::StdRng::seed_from_u64(8);
-        let g = gen::layered_random(5, 8, 0.4, &mut srng, &mut assign);
-        let mut fast = OnlineScheduler::with_mu(0.3);
-        let a = simulate(&g, &mut fast, &SimOptions::new(24)).unwrap();
-        let mut slow = OnlineScheduler::with_mu(0.3).with_reference_queue();
-        let b = simulate(&g, &mut slow, &SimOptions::new(24)).unwrap();
-        assert_eq!(a.makespan, b.makespan);
-        assert_eq!(a.placements, b.placements);
     }
 
     #[test]

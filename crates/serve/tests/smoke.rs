@@ -83,6 +83,42 @@ fn submit_stats_shutdown_end_to_end() {
 }
 
 #[test]
+fn a_submit_at_the_largest_p_is_answered() {
+    // `p` = 2^20 is the service limit: allocations reach ⌈μP⌉ (about
+    // 400 000 processors), and the scheduler's ready queue must index
+    // them without sizing anything from `P` up front.
+    let server = ephemeral(ServerConfig::default());
+    let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
+    let Request::Submit(mut req) = submit("independent", 24, 1 << 20, 5) else {
+        unreachable!("submit builds a submit request")
+    };
+    req.model = "roofline".into();
+    req.include_allocations = true;
+    let reply = client.call(&Request::Submit(req)).unwrap();
+    assert_eq!(
+        reply.get("status").unwrap().as_str(),
+        Some("ok"),
+        "{reply:?}"
+    );
+    assert_eq!(
+        reply.get("p").unwrap().as_f64(),
+        Some(f64::from(1u32 << 20))
+    );
+    let widest = reply
+        .get("allocations")
+        .unwrap()
+        .as_arr()
+        .unwrap()
+        .iter()
+        .map(|a| a.get("procs").unwrap().as_f64().unwrap())
+        .fold(0.0, f64::max);
+    assert!(widest > 300_000.0, "widest allocation {widest}");
+    drop(client);
+    server.trigger_drain();
+    server.join();
+}
+
+#[test]
 fn zero_capacity_queue_always_replies_overloaded() {
     let server = ephemeral(ServerConfig {
         queue_cap: 0,
