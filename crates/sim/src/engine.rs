@@ -64,7 +64,8 @@ pub trait Scheduler {
     /// for its picks appends it to `durs`, one per pick in `out`
     /// order, bit-exactly. The core prices every pick without one as
     /// `instance.model(task).time(procs)` once it has validated the
-    /// pick; the default appends none.
+    /// pick; the default appends none. A duration that is NaN or
+    /// negative, passed or priced, is [`SimError::BadDuration`].
     fn select_batch(
         &mut self,
         now: f64,
@@ -221,6 +222,14 @@ pub enum SimError {
     NotAvailable(TaskId),
     /// The scheduler started a task with a zero-processor allocation.
     ZeroProcs(TaskId),
+    /// A start's duration — passed by the scheduler or priced by the
+    /// task's model — is NaN or negative.
+    BadDuration {
+        /// Offending task.
+        task: TaskId,
+        /// The duration it would have run for.
+        dur: f64,
+    },
     /// The scheduler's batch exceeded the free processors.
     Oversubscribed {
         /// Offending task.
@@ -248,6 +257,9 @@ impl fmt::Display for SimError {
         match self {
             Self::NotAvailable(t) => write!(f, "scheduler started unavailable task {t}"),
             Self::ZeroProcs(t) => write!(f, "scheduler started {t} on zero processors"),
+            Self::BadDuration { task, dur } => {
+                write!(f, "{task} started with invalid duration {dur}")
+            }
             Self::Oversubscribed { task, want, free } => {
                 write!(
                     f,

@@ -8,15 +8,21 @@
 //! slices and observing each completion as an index into the growing
 //! placement log.
 //!
-//! Events are ordered by `(time, start sequence)`, and all completions
-//! at one instant retire as a batch: processors are freed first, the
-//! consequences revealed in completion order, the timed arrivals due
-//! then appended, and the whole instant handed to the scheduler in one
-//! [`Scheduler::release_batch`] before a new decision point. Per-event
-//! costs stay flat:
+//! Completions are ordered by `(time, start sequence)`, and all
+//! completions at one instant retire as a batch: processors are freed
+//! first, the consequences revealed in completion order, the timed
+//! arrivals due then appended, and the whole instant handed to the
+//! scheduler in one [`Scheduler::release_batch`] before a new decision
+//! point. Per-event costs stay flat:
 //!
-//! * **Fat completion events.** Each heap event carries its task and
-//!   processor count, so retiring it reads no placement.
+//! * **Run-length completion events.** Starts of one decision point
+//!   that end at the same instant (bit-identical end times) share one
+//!   heap entry covering their consecutive placement indices, so an
+//!   instant that retires b tasks started together pops one entry,
+//!   not b. Retiring a run reads its placements, which sit side by
+//!   side. The Thm 6 and Thm 9 witnesses finish thousands of
+//!   equal-length tasks per instant; graphs with irregular durations
+//!   get runs of one.
 //! * **Byte-per-task state.** Task state is a dense `u8` column beside
 //!   a `released` column, sized from [`Instance::size_hint`] and grown
 //!   on demand for instances that outrun their hint.
@@ -41,34 +47,42 @@ const AVAILABLE: u8 = 1;
 const RUNNING: u8 = 2;
 const DONE: u8 = 3;
 
-/// Completion event. `idx` is the placement index, which equals the
-/// start sequence (placements are pushed in start order), so ordering
-/// by `(time, idx)` is the `(time, seq)` tie-break. Task and processor
-/// count ride along so retiring the event touches no other array.
+/// A run of completions: placements `first..first + len`, started in
+/// one decision point, one after another, all ending at the same
+/// `time` (bit-identical). Runs are disjoint index ranges with one end
+/// time each, so popping them by `(time, first)` and expanding each in
+/// index order is exactly the `(time, start sequence)` order of one
+/// event per task.
 #[derive(Debug, Clone, Copy)]
-struct Event {
+struct Run {
     time: f64,
-    idx: u32,
-    task: TaskId,
-    procs: u32,
+    first: u32,
+    len: u32,
 }
 
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.idx == other.idx
+impl Run {
+    fn indices(self) -> std::ops::Range<usize> {
+        let first = self.first as usize;
+        first..first + self.len as usize
     }
 }
-impl Eq for Event {}
-impl PartialOrd for Event {
+
+impl PartialEq for Run {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+impl Eq for Run {}
+impl PartialOrd for Run {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for Event {
+impl Ord for Run {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.time
             .total_cmp(&other.time)
-            .then(self.idx.cmp(&other.idx))
+            .then(self.first.cmp(&other.first))
     }
 }
 
@@ -91,7 +105,7 @@ pub struct Stepper<I, S> {
     free: u32,
     pool: Option<ProcPool>,
     placements: Vec<Placement>,
-    heap: BinaryHeap<Reverse<Event>>,
+    heap: BinaryHeap<Reverse<Run>>,
     time: f64,
     completed: usize,
     state: Vec<u8>,
@@ -99,7 +113,7 @@ pub struct Stepper<I, S> {
     picks: Vec<(TaskId, u32)>,
     durs: Vec<f64>,
     newly: Vec<TaskId>,
-    batch: Vec<Event>,
+    batch: Vec<Run>,
     primed: bool,
     error: Option<SimError>,
 }
@@ -121,8 +135,7 @@ impl<I: Instance, S: Scheduler> Stepper<I, S> {
             free: p_total,
             pool: opts.record_proc_ids.then(|| ProcPool::new(p_total)),
             placements: Vec::with_capacity(hint),
-            // At most one outstanding completion per busy processor.
-            heap: BinaryHeap::with_capacity((p_total as usize).min(hint.max(1))),
+            heap: BinaryHeap::new(),
             time: 0.0,
             completed: 0,
             state: vec![NOT_RELEASED; hint],
@@ -274,39 +287,43 @@ impl<I: Instance, S: Scheduler> Stepper<I, S> {
         loop {
             let next = match (self.heap.peek(), self.instance.next_arrival()) {
                 (None, None) => break,
-                (Some(Reverse(e)), None) => e.time,
+                (Some(Reverse(run)), None) => run.time,
                 (None, Some(a)) => a,
-                (Some(Reverse(e)), Some(a)) => e.time.min(a),
+                (Some(Reverse(run)), Some(a)) => run.time.min(a),
             };
             if next > until {
                 break;
             }
             self.time = next;
             self.batch.clear();
-            while let Some(&Reverse(ev)) = self.heap.peek() {
-                if ev.time != next {
+            while let Some(&Reverse(run)) = self.heap.peek() {
+                if run.time != next {
                     break;
                 }
                 self.heap.pop();
-                self.batch.push(ev);
+                self.batch.push(run);
             }
             // 1) free the processors of every completion in the batch
-            for ev in &self.batch {
-                self.free += ev.procs;
-                if let Some(pool) = &mut self.pool {
-                    pool.release(&self.placements[ev.idx as usize].proc_ranges);
+            for run in &self.batch {
+                for pl in &self.placements[run.indices()] {
+                    self.free += pl.procs;
+                    if let Some(pool) = &mut self.pool {
+                        pool.release(&pl.proc_ranges);
+                    }
+                    self.state[pl.task.index()] = DONE;
                 }
-                self.state[ev.task.index()] = DONE;
+                self.completed += run.len as usize;
             }
-            self.completed += self.batch.len();
             // 2) reveal the consequences, in completion order
             self.newly.clear();
-            for ev in &self.batch {
-                self.instance
-                    .on_complete_into(ev.task, next, &mut self.newly);
+            for run in &self.batch {
+                for pl in &self.placements[run.indices()] {
+                    self.instance
+                        .on_complete_into(pl.task, next, &mut self.newly);
+                }
             }
             if let Some(out) = completions.as_deref_mut() {
-                out.extend(self.batch.iter().map(|ev| ev.idx as usize));
+                out.extend(self.batch.iter().flat_map(|run| run.indices()));
             }
             // 3) timed arrivals due now, and one release for the instant
             self.release();
@@ -351,8 +368,19 @@ impl<I: Instance, S: Scheduler> Stepper<I, S> {
     }
 
     /// Decision point: ask the scheduler until it passes, validating
-    /// and starting each pick in order.
+    /// and starting each pick in order. Consecutive starts that end at
+    /// the same instant share one heap [`Run`]; the open run is pushed
+    /// before returning, error or not.
     fn decide(&mut self) -> Result<(), SimError> {
+        let mut open: Option<Run> = None;
+        let result = self.start_picks(&mut open);
+        if let Some(run) = open {
+            self.heap.push(Reverse(run));
+        }
+        result
+    }
+
+    fn start_picks(&mut self, open: &mut Option<Run>) -> Result<(), SimError> {
         loop {
             self.picks.clear();
             self.durs.clear();
@@ -380,6 +408,11 @@ impl<I: Instance, S: Scheduler> Stepper<I, S> {
                     Some(&dur) => dur,
                     None => self.instance.model(task).time(procs),
                 };
+                // NaN would wedge the loop (no event ever equals it);
+                // a negative one would end before it starts.
+                if dur.is_nan() || dur < 0.0 {
+                    return Err(SimError::BadDuration { task, dur });
+                }
                 let proc_ranges = match &mut self.pool {
                     Some(pool) => pool.alloc(procs).expect("pool tracks free count"),
                     None => Vec::new(),
@@ -387,20 +420,30 @@ impl<I: Instance, S: Scheduler> Stepper<I, S> {
                 self.free -= procs;
                 self.state[i] = RUNNING;
                 let idx = u32::try_from(self.placements.len()).expect("placements fit u32");
+                let end = self.time + dur;
                 self.placements.push(Placement {
                     task,
                     start: self.time,
-                    end: self.time + dur,
+                    end,
                     procs,
                     proc_ranges,
                     released: self.released[i],
                 });
-                self.heap.push(Reverse(Event {
-                    time: self.time + dur,
-                    idx,
-                    task,
-                    procs,
-                }));
+                // Starts within one decision point take consecutive
+                // indices, so an equal end time extends the open run.
+                match open {
+                    Some(run) if run.time.to_bits() == end.to_bits() => run.len += 1,
+                    _ => {
+                        let run = Run {
+                            time: end,
+                            first: idx,
+                            len: 1,
+                        };
+                        if let Some(done) = open.replace(run) {
+                            self.heap.push(Reverse(done));
+                        }
+                    }
+                }
             }
         }
     }
@@ -434,7 +477,7 @@ impl<I, S> std::fmt::Debug for Stepper<I, S> {
             .field("free", &self.free)
             .field("now", &self.time)
             .field("completed", &self.completed)
-            .field("running", &self.heap.len())
+            .field("running", &(self.placements.len() - self.completed))
             .field("poisoned", &self.error.is_some())
             .finish()
     }
@@ -588,6 +631,39 @@ mod tests {
         assert!(matches!(e1, SimError::Stuck { .. }));
         let e2 = st.advance_until(2.0, &mut done).unwrap_err();
         assert_eq!(e1, e2, "poisoned stepper repeats its error");
+    }
+
+    #[test]
+    fn equal_duration_starts_share_one_heap_entry() {
+        let k = 9;
+        let mut g = moldable_graph::GraphBuilder::new();
+        for _ in 0..k {
+            g.add_task(unit(2.0));
+        }
+        g.add_task(unit(1.0));
+        let g = g.freeze();
+        let mut st = Stepper::new(GraphInstance::new(&g), Fifo::new(1), &SimOptions::new(16));
+        let mut done = Vec::new();
+        st.advance_until(0.0, &mut done).unwrap();
+        assert_eq!(st.placements().len(), k + 1, "all start at t=0");
+        // One run for the k equal ends, one for the short task.
+        assert_eq!(st.heap.len(), 2);
+        let runs: Vec<(f64, u32, u32)> = st
+            .heap
+            .clone()
+            .into_sorted_vec()
+            .into_iter()
+            .map(|Reverse(r)| (r.time, r.first, r.len))
+            .rev()
+            .collect();
+        assert_eq!(runs, [(1.0, 9, 1), (2.0, 0, 9)]);
+        assert!(format!("{st:?}").contains("running: 10"));
+        st.advance_until(1.0, &mut done).unwrap();
+        assert_eq!(done, [9]);
+        assert!(format!("{st:?}").contains("running: 9"));
+        st.advance_until(2.0, &mut done).unwrap();
+        assert_eq!(done, [9, 0, 1, 2, 3, 4, 5, 6, 7, 8]);
+        assert!(st.heap.is_empty());
     }
 
     #[test]
