@@ -18,18 +18,16 @@
 //!   `simulate_instance`);
 //! * `wide_50k` — 50 000 independent tasks on P = 64, a
 //!   deep-ready-queue stress run;
-//! * `serve_{direct,service,tcp}_500` — the same 500 scheduling
-//!   requests (cholesky size 6, P = 64, 16 seeds) executed three ways:
-//!   bare generate+simulate, through the service layer
-//!   (`WorkerContext::handle`, adds validation/bounds/JSON), and over a
-//!   real daemon socket — identical makespans, so the deltas are pure
-//!   layer overhead;
+//! * `serve_{direct,service}_500` — the same 500 scheduling requests
+//!   (cholesky size 6, P = 64, 16 seeds) executed two ways: bare
+//!   generate+simulate, and through the service layer
+//!   (`WorkerContext::handle`, adds validation/bounds/JSON) —
+//!   identical makespans, so the delta is pure layer overhead;
 //! * `serve_epoll_500`, `serve_epoll_batched_500` — the same 500
-//!   requests over the non-blocking epoll transport: four closed-loop
-//!   connections across four worker shards, plain submits and 32-item
+//!   requests over a real daemon socket: four closed-loop connections
+//!   across four worker shards, plain submits and 32-item
 //!   `submit_batch` frames. Every reply's makespan is asserted
-//!   bit-equal to the service-layer expectation; CI gates the batched
-//!   row at ≥ 3× the legacy `serve_tcp_500` throughput.
+//!   bit-equal to the service-layer expectation.
 
 use std::time::Instant;
 
@@ -313,65 +311,7 @@ fn serve_service(cached: bool) -> Measurement {
     }
 }
 
-/// The full daemon round-trip through the **legacy** thread-per-
-/// connection transport: loopback TCP, frame codec, bounded queue,
-/// worker pool — one closed-loop client, one worker. This is the
-/// baseline the epoll rows are gated against.
-fn serve_tcp() -> Measurement {
-    use moldable_serve::server::{Server, ServerConfig, Transport};
-    let server = Server::start(ServerConfig {
-        addr: "127.0.0.1:0".into(),
-        workers: 1,
-        transport: Transport::Threads,
-        ..ServerConfig::default()
-    })
-    .expect("bind");
-    let mut client =
-        moldable_serve::Client::connect(&server.local_addr().to_string()).expect("connect");
-    // Warm the worker's caches so steady-state latency is measured.
-    let _ = client
-        .call(&moldable_serve::proto::Request::Submit(Box::new(
-            serve_submit(42),
-        )))
-        .expect("warmup");
-
-    let t0 = Instant::now();
-    let mut n_tasks = 0;
-    let mut makespan = 0.0;
-    for i in 0..SERVE_REQUESTS {
-        let req = moldable_serve::proto::Request::Submit(Box::new(serve_submit(
-            42 + (i as u64 % SERVE_SEEDS),
-        )));
-        let reply = client.call(&req).expect("call");
-        assert_eq!(
-            reply
-                .get("status")
-                .and_then(moldable_serve::json::Json::as_str),
-            Some("ok")
-        );
-        n_tasks += reply
-            .get("n_tasks")
-            .and_then(moldable_serve::json::Json::as_u64)
-            .expect("n_tasks") as usize;
-        makespan = reply
-            .get("makespan")
-            .and_then(moldable_serve::json::Json::as_f64)
-            .expect("makespan");
-    }
-    let sim_secs = t0.elapsed().as_secs_f64();
-    drop(client);
-    server.trigger_drain();
-    server.join();
-    Measurement {
-        name: "serve_tcp_500",
-        n_tasks,
-        build_secs: 0.0,
-        sim_secs,
-        makespan,
-    }
-}
-
-/// The epoll event-loop transport at its intended operating point:
+/// The daemon's epoll event loop at its intended operating point:
 /// four closed-loop connections over four worker shards, the same 500
 /// requests partitioned round-robin exactly like `loadgen` does.
 /// `batch` > 1 packs that many submits per `submit_batch` frame. Every
@@ -381,7 +321,7 @@ fn serve_tcp() -> Measurement {
 fn serve_epoll(batch: usize) -> Measurement {
     use moldable_serve::json::Json;
     use moldable_serve::proto::Request;
-    use moldable_serve::server::{Server, ServerConfig, Transport};
+    use moldable_serve::server::{Server, ServerConfig};
 
     let clients = 4;
     // Per-seed ground truth from the service layer (no wire at all).
@@ -405,7 +345,6 @@ fn serve_epoll(batch: usize) -> Measurement {
     let server = Server::start(ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: clients,
-        transport: Transport::Epoll,
         ..ServerConfig::default()
     })
     .expect("bind");
@@ -510,7 +449,6 @@ fn main() {
         serve_direct(),
         serve_service(true),
         serve_service(false),
-        serve_tcp(),
         serve_epoll(1),
         serve_epoll(32),
     ];
@@ -526,7 +464,6 @@ fn main() {
     for name in [
         "serve_service_cached_500",
         "serve_service_uncached_500",
-        "serve_tcp_500",
         "serve_epoll_500",
         "serve_epoll_batched_500",
     ] {

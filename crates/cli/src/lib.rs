@@ -56,7 +56,6 @@ USAGE:
   moldable fit      --samples FILE   # lines: <procs> <time>
   moldable serve    [--addr HOST:PORT | --port N] [--workers N] [--queue-cap N]
                     [--max-frame BYTES] [--timeout SECS] [--port-file FILE]
-                    [--transport epoll|threads]
   moldable loadgen  [--addr HOST:PORT] [--clients N] [--requests N] [--rate RPS]
                     [--shape SHAPE] [--size N] [--model CLASS] [-P N]
                     [--algo NAME] [--seed N] [--seeds N] [--batch N] [--out FILE]
@@ -79,9 +78,8 @@ ALGOS:       icpp22 (default, ICPP'22 Algorithm 2), improved23 (the
 POLICIES:    fifo (default), lpt, spt, narrow-first, wide-first
 
 `serve` runs the scheduling daemon until SIGINT/SIGTERM or a `shutdown`
-request, then drains gracefully; --transport picks the non-blocking
-epoll event loop (default on Linux) or the legacy thread-per-connection
-transport; --session-p/--session-mu size the
+request, then drains gracefully (Linux only: the daemon serves every
+connection from one epoll event loop); --session-p/--session-mu size the
 shared streaming platform and --session-max-sessions/--session-max-dags/
 --session-max-tasks/--session-idle-ms set per-tenant quotas and the
 idle reaper. `loadgen` drives closed-loop traffic
@@ -452,7 +450,6 @@ fn cmd_serve(opts: &Opts) -> Result<String, CliError> {
         "max-frame",
         "timeout",
         "port-file",
-        "transport",
         "session-p",
         "session-mu",
         "session-max-sessions",
@@ -486,17 +483,6 @@ fn cmd_serve(opts: &Opts) -> Result<String, CliError> {
             return Err(err("--timeout must be positive seconds"));
         }
         config.request_timeout = std::time::Duration::from_secs_f64(t);
-    }
-    if let Some(t) = opts.get("transport") {
-        config.transport = match t {
-            "epoll" => moldable_serve::Transport::Epoll,
-            "threads" => moldable_serve::Transport::Threads,
-            other => {
-                return Err(err(format!(
-                    "--transport must be `epoll` or `threads`, got `{other}`"
-                )))
-            }
-        };
     }
     if let Some(p) = opts.parse_num::<u32>("session-p")? {
         if p == 0 {

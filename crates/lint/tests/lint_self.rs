@@ -56,9 +56,9 @@ fn workspace_lints_clean() {
     assert!(rep.files_scanned > 50, "expected a full workspace walk");
     // The serve/tenant lock graph is part of the report contract: the
     // service mutexes — including the per-worker request shards and
-    // the epoll event-loop state (completion queue, wake pipe) — must
-    // be visible as nodes and the graph acyclic.
-    for node in ["svc", "queue", "conns", "completions", "wake"] {
+    // the event loop's completion queue — must be visible as nodes and
+    // the graph acyclic.
+    for node in ["svc", "queue", "completions"] {
         assert!(
             rep.lock_graph.nodes.iter().any(|n| n == node),
             "lock graph missing node `{node}`:\n{}",

@@ -10,8 +10,8 @@
 //! * [`json`] — hand-rolled JSON encode/parse (no external deps);
 //! * [`service`] — the request→schedule executor with per-worker
 //!   [`AllocCache`](moldable_core::AllocCache) reuse;
-//! * [`server`] — the daemon: a non-blocking `epoll(7)` event loop
-//!   (or the legacy thread-per-connection transport), per-worker
+//! * [`server`] — the daemon (Linux only): a non-blocking `epoll(7)`
+//!   event loop with a fixed memory budget per connection, per-worker
 //!   request shards with spill-over and work-stealing, explicit
 //!   `overloaded` backpressure, per-request timeouts, `stats` with
 //!   latency percentiles, graceful drain on `shutdown` requests or
@@ -79,7 +79,7 @@ pub use proto::{
     CloseSessionRequest, GraphSpec, OpenSessionRequest, PollRequest, Request, SubmitDagRequest,
     SubmitRequest,
 };
-pub use server::{install_drain_signals, FaultHooks, Server, ServerConfig, Transport};
+pub use server::{install_drain_signals, FaultHooks, Server, ServerConfig};
 pub use service::{EngineChoice, ServiceLimits, WorkerContext};
 pub use sessions::SessionHub;
 pub use stats::{Accounting, ServerStats};

@@ -479,7 +479,12 @@ fn client_loop(
         let req = if batch == 1 {
             submit_request(config, seeds[0])
         } else {
-            Request::Batch(seeds.iter().map(|&s| submit_request(config, s).encode()).collect())
+            Request::Batch(
+                seeds
+                    .iter()
+                    .map(|&s| submit_request(config, s).encode())
+                    .collect(),
+            )
         };
         let t0 = Instant::now();
         tally.sent += group;
@@ -547,7 +552,9 @@ fn tally_reply(tally: &mut ClientTally, reply: &Json, seed: u64) {
 /// its latency. An `overloaded` or `error` envelope (the queue refused
 /// the whole batch) charges every member.
 fn tally_batch_reply(tally: &mut ClientTally, reply: &Json, seeds: &[u64], rtt: f64) {
-    tally.latencies_ms.extend(std::iter::repeat_n(rtt, seeds.len()));
+    tally
+        .latencies_ms
+        .extend(std::iter::repeat_n(rtt, seeds.len()));
     match reply.get("status").and_then(Json::as_str) {
         Some("ok") => {
             let results = reply.get("results").and_then(Json::as_arr).unwrap_or(&[]);
@@ -1032,7 +1039,11 @@ pub fn run_sessions(config: &SessionLoadConfig) -> io::Result<SessionLoadReport>
             for (k, &idx) in chunk.iter().enumerate() {
                 latencies[idx / config.sessions_per_tenant].push(rtt);
                 report.dags_submitted += 1;
-                match results.get(k).and_then(|r| r.get("status")).and_then(Json::as_str) {
+                match results
+                    .get(k)
+                    .and_then(|r| r.get("status"))
+                    .and_then(Json::as_str)
+                {
                     Some("ok") => report.dags_ok += 1,
                     Some("quota_exceeded") => report.quota_rejected += 1,
                     _ => report.errors += 1,

@@ -106,28 +106,10 @@ pub fn read_frame(r: &mut impl Read, max_len: u32) -> Result<Option<Vec<u8>>, Fr
         Ok(true) => {}
         Err(e) => return Err(FrameError::Io(e)),
     }
-    read_frame_body(r, u32::from_be_bytes(len_buf), max_len)
+    read_frame_body(r, u32::from_be_bytes(len_buf), max_len).map(Some)
 }
 
-/// Read the remainder of a frame whose length prefix's *first byte*
-/// was already consumed (servers sniff one byte with a short timeout
-/// to stay responsive to drain requests, then commit to the frame).
-///
-/// # Errors
-///
-/// Same contract as [`read_frame`].
-pub fn read_frame_rest(r: &mut impl Read, first: u8, max_len: u32) -> Result<Vec<u8>, FrameError> {
-    let mut rest = [0u8; 3];
-    r.read_exact(&mut rest).map_err(FrameError::Io)?;
-    let len = u32::from_be_bytes([first, rest[0], rest[1], rest[2]]);
-    read_frame_body(r, len, max_len).map(|opt| opt.expect("body never reports EOF"))
-}
-
-fn read_frame_body(
-    r: &mut impl Read,
-    len: u32,
-    max_len: u32,
-) -> Result<Option<Vec<u8>>, FrameError> {
+fn read_frame_body(r: &mut impl Read, len: u32, max_len: u32) -> Result<Vec<u8>, FrameError> {
     if len > ABSOLUTE_MAX_FRAME {
         return Err(FrameError::Corrupt(len));
     }
@@ -149,7 +131,7 @@ fn read_frame_body(
     }
     let mut buf = vec![0u8; len as usize];
     r.read_exact(&mut buf).map_err(FrameError::Io)?;
-    Ok(Some(buf))
+    Ok(buf)
 }
 
 /// Write one frame.
@@ -729,9 +711,7 @@ impl Request {
         if let Self::Batch(items) = self {
             // Items are already-encoded JSON payloads; splice them in
             // verbatim so batching never re-parses what clients built.
-            let mut out = Vec::with_capacity(
-                34 + items.iter().map(|i| i.len() + 1).sum::<usize>(),
-            );
+            let mut out = Vec::with_capacity(34 + items.iter().map(|i| i.len() + 1).sum::<usize>());
             out.extend_from_slice(b"{\"type\":\"submit_batch\",\"items\":[");
             for (i, item) in items.iter().enumerate() {
                 if i > 0 {
@@ -847,14 +827,6 @@ pub fn overloaded_reply() -> Vec<u8> {
 mod tests {
     use super::*;
     use std::io::Cursor;
-
-    #[test]
-    fn read_frame_rest_resumes_after_a_sniffed_byte() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"payload").unwrap();
-        let mut r = Cursor::new(&buf[1..]); // first length byte consumed
-        assert_eq!(read_frame_rest(&mut r, buf[0], 1024).unwrap(), b"payload");
-    }
 
     #[test]
     fn frames_roundtrip() {
@@ -1052,7 +1024,8 @@ mod tests {
         let batch = Request::Batch(vec![submit.encode(), Request::Ping.encode()]);
         let parsed = Request::parse(&batch.encode()).unwrap();
         // Canonical items survive the parse → re-encode round trip
-        // bit-for-bit, so both transports see identical item bytes.
+        // bit-for-bit, so a batch carries identical item bytes whether
+        // the event loop splits it or parses it in full.
         assert_eq!(parsed, batch);
         let empty = Request::Batch(Vec::new());
         assert_eq!(Request::parse(&empty.encode()).unwrap(), empty);
