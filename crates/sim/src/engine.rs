@@ -64,8 +64,9 @@ pub trait Scheduler {
     /// for its picks appends it to `durs`, one per pick in `out`
     /// order, bit-exactly. The core prices every pick without one as
     /// `instance.model(task).time(procs)` once it has validated the
-    /// pick; the default appends none. A duration that is NaN or
-    /// negative, passed or priced, is [`SimError::BadDuration`].
+    /// pick; the default appends none. A duration that is NaN,
+    /// negative or infinite, or that ends past `f64::MAX`, passed or
+    /// priced, is [`SimError::BadDuration`].
     fn select_batch(
         &mut self,
         now: f64,
@@ -223,7 +224,8 @@ pub enum SimError {
     /// The scheduler started a task with a zero-processor allocation.
     ZeroProcs(TaskId),
     /// A start's duration — passed by the scheduler or priced by the
-    /// task's model — is NaN or negative.
+    /// task's model — is NaN, negative or infinite, or overflows the
+    /// end time to infinity.
     BadDuration {
         /// Offending task.
         task: TaskId,

@@ -408,9 +408,13 @@ impl<I: Instance, S: Scheduler> Stepper<I, S> {
                     Some(&dur) => dur,
                     None => self.instance.model(task).time(procs),
                 };
-                // NaN would wedge the loop (no event ever equals it);
-                // a negative one would end before it starts.
-                if dur.is_nan() || dur < 0.0 {
+                let end = self.time + dur;
+                // NaN would wedge the loop (no event ever equals it); a
+                // negative one would end before it starts; an infinite
+                // end (an infinite duration, or a finite one that
+                // overflows) never completes, yet would start every
+                // successor at infinity.
+                if !(dur >= 0.0 && end.is_finite()) {
                     return Err(SimError::BadDuration { task, dur });
                 }
                 let proc_ranges = match &mut self.pool {
@@ -420,7 +424,6 @@ impl<I: Instance, S: Scheduler> Stepper<I, S> {
                 self.free -= procs;
                 self.state[i] = RUNNING;
                 let idx = u32::try_from(self.placements.len()).expect("placements fit u32");
-                let end = self.time + dur;
                 self.placements.push(Placement {
                     task,
                     start: self.time,

@@ -20,6 +20,15 @@ pub enum ValidationError {
     ForeignTask(TaskId),
     /// A task ran more than once (no restarts allowed).
     DuplicateTask(TaskId),
+    /// A start or end time that is NaN or infinite.
+    NonFiniteTime {
+        /// Offending task.
+        task: TaskId,
+        /// Its start time.
+        start: f64,
+        /// Its end time.
+        end: f64,
+    },
     /// Allocation outside `[1, P]`.
     BadAllocation {
         /// Offending task.
@@ -58,6 +67,9 @@ impl fmt::Display for ValidationError {
             Self::MissingTask(t) => write!(f, "task {t} never executed"),
             Self::ForeignTask(t) => write!(f, "task {t} is not part of the graph"),
             Self::DuplicateTask(t) => write!(f, "task {t} executed more than once"),
+            Self::NonFiniteTime { task, start, end } => {
+                write!(f, "task {task} runs over non-finite [{start}, {end}]")
+            }
             Self::BadAllocation { task, procs } => {
                 write!(f, "task {task} has invalid allocation {procs}")
             }
@@ -118,6 +130,16 @@ impl Schedule {
                 return Err(ValidationError::DuplicateTask(t));
             }
             seen[t.index()] = Some(idx);
+            // Every later check compares times; an infinite or NaN one
+            // slips through all of them (inf - inf is NaN, and every
+            // comparison with NaN is false).
+            if !(pl.start.is_finite() && pl.end.is_finite()) {
+                return Err(ValidationError::NonFiniteTime {
+                    task: t,
+                    start: pl.start,
+                    end: pl.end,
+                });
+            }
             if pl.procs == 0 || pl.procs > self.p_total {
                 return Err(ValidationError::BadAllocation {
                     task: t,
@@ -219,6 +241,30 @@ mod tests {
         sb.place(a, 0.0, 1.0, 4); // t(4) = 1
         sb.place(b, 1.0, 1.0, 2); // t(2) = 1
         sb.build().validate(&g).unwrap();
+    }
+
+    #[test]
+    fn non_finite_times_detected() {
+        // A model that prices the task at infinity: the duration check
+        // alone compares inf with inf and passes.
+        let mut g = GraphBuilder::new();
+        let a = g.add_task(SpeedupModel::formula(|_| f64::INFINITY, true));
+        let b = g.add_task(SpeedupModel::formula(|_| f64::INFINITY, true));
+        g.add_edge(a, b).unwrap();
+        let g = g.freeze();
+        let mut sb = ScheduleBuilder::new(1);
+        sb.place(a, 0.0, f64::INFINITY, 1);
+        sb.place(b, f64::INFINITY, f64::INFINITY, 1);
+        let err = sb.build().validate(&g).unwrap_err();
+        assert_eq!(
+            err,
+            ValidationError::NonFiniteTime {
+                task: a,
+                start: 0.0,
+                end: f64::INFINITY
+            }
+        );
+        assert!(err.to_string().contains("non-finite"), "{err}");
     }
 
     #[test]

@@ -214,6 +214,53 @@ fn assert_bad_duration(
 }
 
 #[test]
+fn an_infinite_duration_is_rejected_on_every_entry_point() {
+    // An infinite end time never completes, yet the loop would pop it
+    // and start every successor at infinity: a chain a -> c on one
+    // processor came out as placements (0, inf) and (inf, inf), which
+    // validation passed.
+    let dur = f64::INFINITY;
+    let mut b = moldable_graph::GraphBuilder::new();
+    b.add_task(SpeedupModel::formula(move |_| dur, true));
+    let priced_by_model = b.freeze();
+    assert_bad_duration(
+        &priced_by_model,
+        &|| Box::new(Fifo::new(1)),
+        dur,
+        "inf from the model",
+    );
+    let mut b = moldable_graph::GraphBuilder::new();
+    b.add_task(unit(1.0));
+    let sound_model = b.freeze();
+    assert_bad_duration(
+        &sound_model,
+        &|| {
+            Box::new(Priced {
+                dur,
+                queue: Vec::new(),
+            })
+        },
+        dur,
+        "inf from the scheduler",
+    );
+
+    // Two finite durations whose sum overflows: the second start would
+    // end at infinity.
+    let mut b = moldable_graph::GraphBuilder::new();
+    let a = b.add_task(SpeedupModel::formula(|_| f64::MAX, true));
+    let c = b.add_task(SpeedupModel::formula(|_| f64::MAX, true));
+    b.add_edge(a, c).unwrap();
+    let chain = b.freeze();
+    match simulate(&chain, &mut Fifo::new(1), &SimOptions::new(1)).unwrap_err() {
+        SimError::BadDuration { task, dur } => {
+            assert_eq!(task, c);
+            assert_eq!(dur.to_bits(), f64::MAX.to_bits());
+        }
+        other => panic!("overflowing end: {other:?}"),
+    }
+}
+
+#[test]
 fn a_nan_or_negative_duration_is_rejected_on_every_entry_point() {
     // A NaN end time never equals the next event time, so the loop
     // would spin on empty batches; a negative one would end the
